@@ -14,10 +14,6 @@ namespace gia::core {
 
 namespace {
 
-/// True while the current thread is executing inside a parallel region
-/// (worker or participating caller); nested parallel calls run inline.
-thread_local bool t_in_parallel_region = false;
-
 /// One parallel_for invocation: a shared chunk queue claimed by atomic
 /// increment. `active` counts pool workers currently touching the job so
 /// the caller knows when the stack-allocated Job may be destroyed.
@@ -34,6 +30,12 @@ struct Job {
   std::atomic<bool> abort{false};
   std::mutex err_mu;
   std::exception_ptr eptr;
+
+  /// No chunk is left to claim.
+  bool exhausted() const {
+    return abort.load(std::memory_order_relaxed) ||
+           next.load(std::memory_order_relaxed) >= n_chunks;
+  }
 
   void run_chunks() {
     for (;;) {
@@ -53,6 +55,12 @@ struct Job {
   }
 };
 
+/// Worker threads shared by every parallel_for in flight: top-level,
+/// nested inside another call's body, or concurrent from other threads.
+/// Each call registers its Job; an idle worker claims chunks from the
+/// newest job that still has some. A caller runs its job's unclaimed
+/// chunks itself and then waits only for chunks already running on
+/// workers, so progress never depends on a free worker.
 class Pool {
  public:
   explicit Pool(int workers) {
@@ -74,46 +82,45 @@ class Pool {
   void run(Job& job) {
     {
       std::lock_guard<std::mutex> lk(mu_);
-      job_ = &job;
-      ++gen_;
+      jobs_.push_back(&job);
     }
     cv_.notify_all();
 
     // The caller is a full participant; workers join as they wake.
-    t_in_parallel_region = true;
     job.run_chunks();
-    t_in_parallel_region = false;
 
+    // Deregister first so no worker can claim the job any more, then wait
+    // for the chunks still running elsewhere.
     std::unique_lock<std::mutex> lk(mu_);
-    cv_done_.wait(lk, [&] { return job.active.load() == 0; });
-    job_ = nullptr;
+    jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+    cv_done_.wait(lk, [&] { return job.active.load(std::memory_order_relaxed) == 0; });
   }
 
  private:
+  /// Newest registered job with unclaimed chunks, or nullptr. Under mu_.
+  Job* claimable() const {
+    for (auto it = jobs_.rbegin(); it != jobs_.rend(); ++it) {
+      if (!(*it)->exhausted()) return *it;
+    }
+    return nullptr;
+  }
+
   void worker() {
-    std::uint64_t seen = 0;
     for (;;) {
       Job* job = nullptr;
       {
         std::unique_lock<std::mutex> lk(mu_);
-        cv_.wait(lk, [&] { return stop_ || gen_ != seen; });
+        cv_.wait(lk, [&] { return stop_ || (job = claimable()) != nullptr; });
         if (stop_) return;
-        seen = gen_;
-        job = job_;
-        // Register under the lock only while work remains: once all chunks
-        // are claimed the caller may wake and destroy the job, so a late
-        // worker must not touch it.
-        if (job == nullptr || job->next.load(std::memory_order_relaxed) >= job->n_chunks) {
-          continue;
-        }
+        // Registered under the lock while the job is still listed: its
+        // caller deregisters under the same lock before it waits on
+        // `active`, so the job outlives this worker's use of it.
         job->active.fetch_add(1, std::memory_order_relaxed);
       }
-      t_in_parallel_region = true;
       {
         instrument::ContextScope span_ctx(job->span_ctx);
         job->run_chunks();
       }
-      t_in_parallel_region = false;
       {
         std::lock_guard<std::mutex> lk(mu_);
         job->active.fetch_sub(1, std::memory_order_relaxed);
@@ -126,8 +133,7 @@ class Pool {
   std::mutex mu_;
   std::condition_variable cv_;
   std::condition_variable cv_done_;
-  Job* job_ = nullptr;
-  std::uint64_t gen_ = 0;
+  std::vector<Job*> jobs_;  ///< registered jobs, oldest first
   bool stop_ = false;
 };
 
@@ -143,7 +149,9 @@ int env_thread_count() {
 struct PoolState {
   std::mutex mu;
   int desired = 0;  ///< 0 = not yet initialized from the environment
-  std::unique_ptr<Pool> pool;
+  /// Shared with every parallel_for in flight: a thread-count change
+  /// swaps in a new pool while running calls finish on the old one.
+  std::shared_ptr<Pool> pool;
 
   int resolve_desired() {
     if (desired == 0) desired = env_thread_count();
@@ -152,15 +160,15 @@ struct PoolState {
 
   /// Returns the pool to use (workers = desired - 1, the caller being the
   /// remaining executor), or nullptr for serial execution.
-  Pool* acquire() {
+  std::shared_ptr<Pool> acquire() {
     std::lock_guard<std::mutex> lk(mu);
     const int want = resolve_desired() - 1;
     if (want <= 0) {
       pool.reset();
       return nullptr;
     }
-    if (!pool || pool->workers() != want) pool = std::make_unique<Pool>(want);
-    return pool.get();
+    if (!pool || pool->workers() != want) pool = std::make_shared<Pool>(want);
+    return pool;
   }
 };
 
@@ -190,8 +198,8 @@ void set_thread_count(int n) {
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  Pool* pool = t_in_parallel_region ? nullptr : state().acquire();
-  if (pool == nullptr || n == 1) {
+  const std::shared_ptr<Pool> pool = n == 1 ? nullptr : state().acquire();
+  if (pool == nullptr) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }

@@ -20,8 +20,14 @@
 /// The worker count comes from `set_thread_count()` or, by default, the
 /// `GIA_THREADS` environment variable (falling back to the hardware
 /// concurrency). A count of 1 runs every helper inline on the calling
-/// thread -- the exact serial code path, no pool started. Nested calls
-/// from inside a parallel region also degrade to inline execution.
+/// thread -- the exact serial code path, no pool started.
+///
+/// One pool serves every call in flight. A call made inside another call's
+/// body (nesting) or from another thread at the same time registers its own
+/// job, and idle workers claim chunks of the newest job that still has some.
+/// The caller always runs its job's unclaimed chunks itself and then waits
+/// only for chunks already running on workers, so nested and concurrent
+/// calls cannot deadlock for want of a free worker.
 
 namespace gia::core {
 
@@ -29,9 +35,10 @@ namespace gia::core {
 int thread_count();
 
 /// Fix the worker count. `n >= 1` pins it (1 = pure serial execution and
-/// the pool is torn down); `n == 0` re-reads `GIA_THREADS` / hardware
-/// default. Safe to call between parallel regions; the pool is resized
-/// lazily on the next parallel call.
+/// the pool is released); `n == 0` re-reads `GIA_THREADS` / hardware
+/// default. Safe to call at any time, also while other threads are inside
+/// `parallel_for`: the next call builds a pool of the new size, and calls
+/// already running keep the pool they started on until they return.
 void set_thread_count(int n);
 
 /// Invoke `fn(i)` for every i in [0, n). Indices are distributed over the

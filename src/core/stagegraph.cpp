@@ -390,7 +390,9 @@ struct Ctx {
   tech::TechnologyKind kind;
   const FlowOptions& opts;
   StageKeys keys;
+  StageRunRecord* record;
   std::array<ArtifactPtr, kStageCount> art{};
+  std::array<std::atomic<int>, kStageCount> unfinished_deps{};
 };
 
 template <typename T>
@@ -493,8 +495,12 @@ ArtifactPtr run_stage(const Ctx& c, StageId id) {
       a->plans = chiplet::plan_chiplet_pair(np.logic_nl.io_signals, np.mem_nl.io_signals,
                                             np.logic_nl.cell_area_um2, np.mem_nl.cell_area_um2,
                                             technology);
-      a->logic = chiplet::run_chiplet_pnr(np.net, np.logic_nl, technology, a->plans.logic, o.pnr);
-      a->memory = chiplet::run_chiplet_pnr(np.net, np.mem_nl, technology, a->plans.memory, o.pnr);
+      parallel_for(2, [&](std::size_t half) {  // logic ∥ memory
+        const bool logic = half == 0;
+        (logic ? a->logic : a->memory) = chiplet::run_chiplet_pnr(
+            np.net, logic ? np.logic_nl : np.mem_nl, technology,
+            logic ? a->plans.logic : a->plans.memory, o.pnr);
+      });
       return a;
     }
     case StageId::Interposer: {
@@ -535,8 +541,10 @@ ArtifactPtr run_stage(const Ctx& c, StageId id) {
       auto a = std::make_shared<EyesArtifact>();
       if (o.with_eyes) {
         const auto& ln = dep<LinksArtifact>(c, StageId::Links);
-        a->l2m = signal::simulate_eye(ln.l2m.spec, o.eye_bits);
-        a->l2l = signal::simulate_eye(ln.l2l.spec, o.eye_bits);
+        parallel_for(2, [&](std::size_t half) {  // l2m ∥ l2l
+          (half == 0 ? a->l2m : a->l2l) =
+              signal::simulate_eye((half == 0 ? ln.l2m : ln.l2l).spec, o.eye_bits);
+        });
       }
       return a;
     }
@@ -631,29 +639,30 @@ ArtifactPtr run_stage(const Ctx& c, StageId id) {
   throw std::logic_error("unknown stage");
 }
 
-/// Execution waves: stages grouped by dependency depth. Within a wave every
-/// stage's inputs are complete, so the wave runs through core/parallel.
-std::vector<std::vector<StageId>> make_waves() {
-  std::array<int, kStageCount> depth{};
-  int max_depth = 0;
-  for (const StageInfo& si : kRegistry) {  // registry order is topological
-    int d = 0;
-    for (int i = 0; i < si.dep_count; ++i) {
-      d = std::max(d, depth[static_cast<std::size_t>(idx(si.deps[static_cast<std::size_t>(i)]))] + 1);
+/// Runs the ready stages `ids` concurrently. Finishing a stage counts down
+/// its dependents; the thread that finishes a dependent's last input runs
+/// it next (forking when several become ready at once), so every stage
+/// starts as soon as its own inputs are done.
+void run_stages(Ctx& c, const std::vector<StageId>& ids) {
+  parallel_for(ids.size(), [&](std::size_t i) {
+    const StageId id = ids[i];
+    {
+      instrument::ScopedSpan span(info(id).span_name);
+      StageRunRecord::Outcome oc;
+      c.art[static_cast<std::size_t>(idx(id))] =
+          cache().get_or_compute(id, c.keys.of(id), &oc, [&] { return run_stage(c, id); });
+      if (c.record != nullptr) c.record->outcome[static_cast<std::size_t>(idx(id))] = oc;
     }
-    depth[static_cast<std::size_t>(idx(si.id))] = d;
-    max_depth = std::max(max_depth, d);
-  }
-  std::vector<std::vector<StageId>> waves(static_cast<std::size_t>(max_depth + 1));
-  for (const StageInfo& si : kRegistry) {
-    waves[static_cast<std::size_t>(depth[static_cast<std::size_t>(idx(si.id))])].push_back(si.id);
-  }
-  return waves;
-}
-
-const std::vector<std::vector<StageId>>& waves() {
-  static const std::vector<std::vector<StageId>> w = make_waves();
-  return w;
+    std::vector<StageId> ready;
+    for (const StageInfo& si : kRegistry) {
+      const auto deps_end = si.deps.begin() + si.dep_count;
+      if (std::find(si.deps.begin(), deps_end, id) != deps_end &&
+          c.unfinished_deps[static_cast<std::size_t>(idx(si.id))].fetch_sub(1) == 1) {
+        ready.push_back(si.id);
+      }
+    }
+    run_stages(c, ready);
+  });
 }
 
 }  // namespace
@@ -723,22 +732,13 @@ TechnologyResult execute_flow(tech::TechnologyKind kind, const FlowOptions& opts
           std::string(tech::short_name(kind)));
     }
   }
-  Ctx c{kind, opts, compute_stage_keys(kind, opts), {}};
-  for (const auto& wave : waves()) {
-    const auto run_one = [&](std::size_t wi) {
-      const StageId id = wave[wi];
-      instrument::ScopedSpan span(info(id).span_name);
-      StageRunRecord::Outcome oc;
-      c.art[static_cast<std::size_t>(idx(id))] =
-          cache().get_or_compute(id, c.keys.of(id), &oc, [&] { return run_stage(c, id); });
-      if (record != nullptr) record->outcome[static_cast<std::size_t>(idx(id))] = oc;
-    };
-    if (wave.size() == 1) {
-      run_one(0);
-    } else {
-      parallel_for(wave.size(), run_one);
-    }
+  Ctx c{kind, opts, compute_stage_keys(kind, opts), record, {}, {}};
+  std::vector<StageId> roots;
+  for (const StageInfo& si : kRegistry) {
+    c.unfinished_deps[static_cast<std::size_t>(idx(si.id))] = si.dep_count;
+    if (si.dep_count == 0) roots.push_back(si.id);
   }
+  run_stages(c, roots);
 
   TechnologyResult r;
   r.technology = tech::make_technology(kind);

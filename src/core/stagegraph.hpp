@@ -35,11 +35,14 @@
 /// unset = enabled with the default capacity, "0"/"off" = disabled, a
 /// positive integer = enabled with that capacity.
 ///
-/// Stages whose dependencies are satisfied in the same wave run
-/// concurrently through `core/parallel` (`chiplet_pnr` ∥ `interposer`,
-/// then `links` ∥ `pdn` ∥ `thermal`), preserving the repo-wide determinism
-/// contract: output is byte-identical at any thread count and with the
-/// cache on or off.
+/// Each stage starts as soon as its own inputs are done: the thread that
+/// finishes a stage's last dependency runs it, forking through
+/// `core/parallel` when several become ready at once (`chiplet_pnr` ∥
+/// `interposer`, then `links` ∥ `pdn` ∥ `thermal` while PnR may still be
+/// running). Parallel loops inside stage bodies share the same pool, so
+/// idle workers help whichever stage is running. The repo-wide determinism
+/// contract holds: output is byte-identical at any thread count and with
+/// the cache on or off.
 
 namespace gia::core::stage {
 

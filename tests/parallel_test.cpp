@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/links.hpp"
@@ -106,14 +110,88 @@ TEST(ParallelFor, PropagatesExceptions) {
   }
 }
 
-TEST(ParallelFor, NestedCallsRunInline) {
+TEST(ParallelFor, NestedCallsShareThePool) {
   ThreadCountGuard guard;
   co::set_thread_count(4);
-  std::vector<int> hits(64, 0);
-  co::parallel_for(8, [&](std::size_t outer) {
-    co::parallel_for(8, [&](std::size_t inner) { hits[outer * 8 + inner] += 1; });
+
+  // Three levels deep, every index exactly once.
+  std::vector<int> hits(6 * 5 * 7, 0);
+  co::parallel_for(6, [&](std::size_t a) {
+    co::parallel_for(5, [&](std::size_t b) {
+      co::parallel_for(7, [&](std::size_t c) { hits[(a * 5 + b) * 7 + c] += 1; });
+    });
   });
   for (int h : hits) EXPECT_EQ(h, 1);
+
+  // Only one outer body nests, so inner bodies on more than one thread
+  // means idle workers joined the nested call instead of it running inline.
+  std::mutex mu;
+  std::set<std::thread::id> inner_threads;
+  co::parallel_for(2, [&](std::size_t outer) {
+    if (outer != 0) return;
+    co::parallel_for(8, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      std::lock_guard<std::mutex> lk(mu);
+      inner_threads.insert(std::this_thread::get_id());
+    });
+  });
+  EXPECT_GT(inner_threads.size(), 1u);
+
+  // An exception thrown by a nested body reaches the outermost caller.
+  EXPECT_THROW(co::parallel_for(4,
+                                [&](std::size_t outer) {
+                                  co::parallel_for(4, [&](std::size_t inner) {
+                                    if (outer == 2 && inner == 3) {
+                                      throw std::runtime_error("nested boom");
+                                    }
+                                  });
+                                }),
+               std::runtime_error);
+
+  // Two external threads calling (and nesting) at once both complete.
+  std::atomic<long> sums[2] = {{0}, {0}};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&, t] {
+      co::parallel_for(10, [&](std::size_t i) {
+        co::parallel_for(10, [&](std::size_t j) { sums[t] += static_cast<long>(i * 10 + j); });
+      });
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(sums[0].load(), 4950);
+  EXPECT_EQ(sums[1].load(), 4950);
+}
+
+TEST(ParallelFor, ThreadCountChangesDuringConcurrentCalls) {
+  ThreadCountGuard guard;
+  co::set_thread_count(4);
+  // Calls in flight keep the pool they started on while another thread
+  // makes the next call build a differently sized one.
+  std::atomic<bool> done{false};
+  std::thread resizer([&] {
+    for (int k = 0; !done.load() && k < 2000; ++k) {
+      co::set_thread_count(k % 2 == 0 ? 2 : 4);
+      std::this_thread::yield();
+    }
+  });
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < 200; ++round) {
+        std::vector<int> hits(24, 0);
+        co::parallel_for(6, [&](std::size_t i) {
+          co::parallel_for(4, [&](std::size_t j) { hits[i * 4 + j] += 1; });
+        });
+        for (int h : hits) wrong += h == 1 ? 0 : 1;
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  done = true;
+  resizer.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(ParallelForChunked, GridIsThreadCountIndependent) {

@@ -377,10 +377,14 @@ TEST(ServeSchedulerTest, DependenciesOrderExecutionAndCascadeCancellation) {
   const auto c = sched.submit(request_for(tech::TechnologyKind::Glass25D, 3), after_unknown);
   EXPECT_EQ(c.wait(), serve::JobTicket::Status::Done);
 
-  // Cancelling a held job cascades to its dependents.
+  // Cancelling a held job cascades to its dependents. `d` is held behind
+  // the running blocker: left runnable, the idle second worker could start
+  // it before cancel() runs.
   const auto blocker = sched.submit(request_for(tech::TechnologyKind::Glass25D, 4));
   wait_until_running(blocker);
-  const auto d = sched.submit(request_for(tech::TechnologyKind::Glass25D, 5));
+  serve::JobScheduler::SubmitOptions after_blocker;
+  after_blocker.after = {blocker.job_id()};
+  const auto d = sched.submit(request_for(tech::TechnologyKind::Glass25D, 5), after_blocker);
   serve::JobScheduler::SubmitOptions after_d;
   after_d.after = {d.job_id()};
   const auto e = sched.submit(request_for(tech::TechnologyKind::Glass25D, 6), after_d);

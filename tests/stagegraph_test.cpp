@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/flow.hpp"
 #include "core/json.hpp"
@@ -165,37 +166,58 @@ TEST(StageGraphTest, NetlistStageKeyIsSharedAcrossTechnologies) {
   }
 }
 
-// --- Determinism contract: byte-identical serialized results with the
-// cache on/off at 1 and 4 threads, for all six packaged technologies.
+// --- Determinism contract: byte-identical serialized results and
+// unchanged stage outcomes with the cache off, cold and warm at 1-4
+// threads, for all six packaged technologies and a 16-chiplet system
+// (whose per-die PnR runs on pool workers).
 
 TEST(StageGraphTest, ByteIdenticalAcrossCacheAndThreadCount) {
   CacheGuard guard;
-  const FlowOptions opts = full_options();
-  for (TechnologyKind tech : kSixTechs) {
-    gia::core::set_thread_count(1);
-    stage::set_stage_cache_enabled(false);
-    const std::string golden =
-        gia::core::technology_result_to_json(gia::core::run_full_flow(tech, opts));
+  struct Case {
+    std::string name;
+    TechnologyKind tech;
+    FlowOptions opts;
+  };
+  std::vector<Case> cases;
+  for (TechnologyKind tech : kSixTechs) cases.push_back({gia::tech::short_name(tech), tech, full_options()});
+  FlowOptions sys16 = full_options();
+  sys16.with_eyes = false;
+  sys16.openpiton.cluster_cells = 4000;
+  sys16.system.chiplets = 16;
+  sys16.system.arrangement = gia::chiplet::Arrangement::Grid;
+  sys16.system.memory_every = 4;
+  cases.push_back({"glass25d x16 grid", TechnologyKind::Glass25D, sys16});
 
-    stage::set_stage_cache_enabled(true);
-    stage::stage_cache_clear();
-    const std::string cached_cold =
-        gia::core::technology_result_to_json(gia::core::run_full_flow(tech, opts));
-    const std::string cached_warm =
-        gia::core::technology_result_to_json(gia::core::run_full_flow(tech, opts));
-
-    gia::core::set_thread_count(4);
-    const std::string warm_mt =
-        gia::core::technology_result_to_json(gia::core::run_full_flow(tech, opts));
-    stage::set_stage_cache_enabled(false);
-    const std::string uncached_mt =
-        gia::core::technology_result_to_json(gia::core::run_full_flow(tech, opts));
-
-    const char* name = gia::tech::short_name(tech);
-    EXPECT_EQ(golden, cached_cold) << name << ": cache-enabled cold run drifted";
-    EXPECT_EQ(golden, cached_warm) << name << ": cache-hit run drifted";
-    EXPECT_EQ(golden, warm_mt) << name << ": 4-thread cached run drifted";
-    EXPECT_EQ(golden, uncached_mt) << name << ": 4-thread uncached run drifted";
+  struct Run {
+    std::string json;
+    stage::StageRunRecord record;
+  };
+  const auto run = [](const Case& c) {
+    Run r;
+    r.json = gia::core::technology_result_to_json(stage::execute_flow(c.tech, c.opts, &r.record));
+    return r;
+  };
+  for (const Case& c : cases) {
+    std::array<Run, 3> base;  // uncached, cached cold, cached warm at 1 thread
+    for (int threads : {1, 2, 3, 4}) {
+      gia::core::set_thread_count(threads);
+      stage::set_stage_cache_enabled(false);
+      const Run uncached = run(c);
+      stage::set_stage_cache_enabled(true);
+      stage::stage_cache_clear();
+      const Run cold = run(c);
+      const Run warm = run(c);
+      if (threads == 1) base = {uncached, cold, warm};
+      const std::string at = c.name + " at " + std::to_string(threads) + " threads: ";
+      EXPECT_EQ(base[0].json, uncached.json) << at << "uncached run drifted";
+      EXPECT_EQ(base[0].json, cold.json) << at << "cache-enabled cold run drifted";
+      EXPECT_EQ(base[0].json, warm.json) << at << "cache-hit run drifted";
+      EXPECT_EQ(base[0].record.outcome, uncached.record.outcome) << at << "uncached outcomes";
+      EXPECT_EQ(base[1].record.outcome, cold.record.outcome) << at << "cold outcomes";
+      EXPECT_EQ(base[2].record.outcome, warm.record.outcome) << at << "warm outcomes";
+    }
+    EXPECT_EQ(base[0].record.misses(), static_cast<std::uint64_t>(stage::kStageCount)) << c.name;
+    EXPECT_EQ(base[2].record.hits(), static_cast<std::uint64_t>(stage::kStageCount)) << c.name;
   }
 }
 
