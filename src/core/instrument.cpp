@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,20 +21,10 @@ namespace {
 constexpr int kNumCounters = static_cast<int>(Counter::kCount);
 
 constexpr const char* kCounterNames[kNumCounters] = {
-    "sor_iterations",        "thermal_transient_steps",
-    "lu_factorizations",     "lu_solves",
-    "transient_steps",       "transient_step_rejections",
-    "ac_points",             "mc_trials",
-    "prbs_segments",         "eye_uis",
-    "sweep_points",          "flow_runs",
-    "serve_requests",        "cache_hits",
-    "cache_misses",          "cache_coalesced",
-    "stage_runs",            "stage_cache_hits",
-    "stage_cache_misses",    "krylov_iterations",
-    "mg_vcycles",            "dse_points_evaluated",
-    "dse_front_updates",     "dse_cache_assisted_points",
-    "fleet_forwards",        "fleet_hedges",
-    "fleet_shed",            "fleet_worker_failures",
+    "sor_iterations",  "thermal_transient_steps", "lu_factorizations", "lu_solves",
+    "transient_steps", "ac_points",               "mc_trials",         "prbs_segments",
+    "eye_uis",         "sweep_points",            "flow_runs",         "stage_runs",
+    "krylov_iterations", "mg_vcycles",
 };
 
 struct SpanNode {
@@ -253,29 +242,17 @@ RunReport RunReport::capture() {
 
 namespace {
 
-using json::append_double;
-using json::append_u64;
-using json::escape;
-
-void json_escape(const std::string& s, std::string& out) { escape(s, out); }
-
 void span_json(const SpanSnapshot& s, std::string& out) {
-  out += "{\"name\":";
-  json_escape(s.name, out);
-  out += ",\"count\":";
-  append_u64(s.count, out);
-  out += ",\"total_ns\":";
-  append_u64(s.total_ns, out);
-  out += ",\"min_ns\":";
-  append_u64(s.min_ns, out);
-  out += ",\"max_ns\":";
-  append_u64(s.max_ns, out);
-  out += ",\"children\":[";
-  for (std::size_t i = 0; i < s.children.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    span_json(s.children[i], out);
-  }
-  out += "]}";
+  json::open(out);
+  json::put_s(out, "name", s.name);
+  json::put_u(out, "count", s.count);
+  json::put_u(out, "total_ns", s.total_ns);
+  json::put_u(out, "min_ns", s.min_ns);
+  json::put_u(out, "max_ns", s.max_ns);
+  json::open_array(out, "children");
+  for (const SpanSnapshot& c : s.children) span_json(c, out);
+  json::close_array(out);
+  json::close(out);
 }
 
 }  // namespace
@@ -287,29 +264,22 @@ std::string span_tree_json(const SpanSnapshot& s) {
 }
 
 std::string RunReport::to_json() const {
-  std::string out = "{\"run_report\":{\"compiler\":";
-  json_escape(compiler, out);
-  out += ",\"build_type\":";
-  json_escape(build_type, out);
-  out += ",\"threads\":";
-  append_u64(static_cast<std::uint64_t>(threads), out);
-  out += ",\"counters\":{";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    json_escape(counters[i].first, out);
-    out.push_back(':');
-    append_u64(counters[i].second, out);
-  }
-  out += "},\"gauges\":{";
-  for (std::size_t i = 0; i < gauges.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    json_escape(gauges[i].first, out);
-    out.push_back(':');
-    append_double(gauges[i].second, out);
-  }
-  out += "},\"spans\":";
+  std::string out;
+  json::open(out);
+  json::open(out, "run_report");
+  json::put_s(out, "compiler", compiler);
+  json::put_s(out, "build_type", build_type);
+  json::put_u(out, "threads", static_cast<std::uint64_t>(threads));
+  json::open(out, "counters");
+  for (const auto& [name, v] : counters) json::put_u(out, name, v);
+  json::close(out);
+  json::open(out, "gauges");
+  for (const auto& [name, v] : gauges) json::put_d(out, name, v);
+  json::close(out);
+  json::key(out, "spans");
   span_json(root, out);
-  out += "}}";
+  json::close(out);
+  json::close(out);
   return out;
 }
 

@@ -37,40 +37,28 @@ void set_enabled(bool on) noexcept;
 /// is still open (including on pool workers mid-`parallel_for`).
 void reset();
 
-/// Monotonic solver-internal counters. Fixed enum rather than open-ended
-/// strings so `counter_add` is a branch + one relaxed fetch_add.
+/// Monotonic solver-internal work counters (GIA_TRACE-gated like spans).
+/// Serving-layer traffic -- requests, result/stage cache hits and misses,
+/// coalescing, dse search points, fleet forwards -- is counted by the
+/// always-on per-instance counters those components own
+/// (`Server::Stats`, `ResultCache::Stats`, `JobScheduler::Counters`,
+/// `StageCacheStats`, `Fleet::Counters`), not here. Fixed enum rather than
+/// open-ended strings so `counter_add` is a branch + one relaxed fetch_add.
 enum class Counter : int {
   SorIterations = 0,      ///< thermal steady-state SOR iterations to convergence
   ThermalTransientSteps,  ///< explicit transient thermal time steps
   LuFactorizations,       ///< dense LU factorisations (real + complex)
   LuSolves,               ///< dense LU triangular solves
   TransientSteps,         ///< MNA transient time steps accepted
-  TransientStepRejections,///< reserved: step rejections (always 0 for the
-                          ///  fixed-step linear solver; kept for adaptive /
-                          ///  Newton extensions)
   AcPoints,               ///< AC analysis frequency points solved
   McTrials,               ///< Monte Carlo variation trials
   PrbsSegments,           ///< PRBS eye-ensemble segments simulated
   EyeUis,                 ///< unit intervals sampled by the eye fold
   SweepPoints,            ///< design points evaluated by sweep_1d
   FlowRuns,               ///< full co-design flow invocations
-  ServeRequests,          ///< flow requests handled by the serving layer
-  CacheHits,              ///< serving-cache lookups answered from memory/disk
-  CacheMisses,            ///< serving-cache lookups that required a flow run
-  CacheCoalesced,         ///< duplicate in-flight requests attached to one run
   StageRuns,              ///< flow stage bodies executed (stage-cache misses run)
-  StageCacheHits,         ///< stage artifacts served from the stage cache
-  StageCacheMisses,       ///< stage lookups that had to run the stage body
   KrylovIterations,       ///< CG/BiCGSTAB iterations across all sparse solves
   MgVcycles,              ///< thermal geometric-multigrid V-cycles
-  DsePointsEvaluated,     ///< design points evaluated by dse:: searches
-  DseFrontUpdates,        ///< Pareto-front versions published by dse:: searches
-  DseCacheAssistedPoints, ///< dse points served with result-cache / coalesce /
-                          ///  resident-stage-artifact help
-  FleetForwards,          ///< requests a coordinator forwarded to fleet workers
-  FleetHedges,            ///< hedged re-issues to a secondary replica
-  FleetShed,              ///< requests shed with a structured "overloaded" error
-  FleetWorkerFailures,    ///< forward attempts that failed against a worker
   kCount
 };
 

@@ -224,7 +224,7 @@ Value parse(const std::string& text, const ParseLimits& limits) {
   return Parser(text, limits).parse();
 }
 
-void escape(const std::string& s, std::string& out) {
+void escape(std::string_view s, std::string& out) {
   out.push_back('"');
   for (const char ch : s) {
     switch (ch) {
@@ -265,5 +265,123 @@ void append_double(double v, std::string& out) {
 }
 
 void append_bool(bool v, std::string& out) { out += v ? "true" : "false"; }
+
+namespace {
+
+/// The writer's only comma rule: nothing separates a value from the
+/// bracket that opens its container or from the colon of its key.
+void sep(std::string& out) {
+  if (out.empty()) return;
+  const char c = out.back();
+  if (c != '{' && c != '[' && c != ':') out.push_back(',');
+}
+
+}  // namespace
+
+void key(std::string& out, std::string_view k) {
+  sep(out);
+  escape(k, out);
+  out.push_back(':');
+}
+
+void open(std::string& out) {
+  sep(out);
+  out.push_back('{');
+}
+
+void open(std::string& out, std::string_view k) {
+  key(out, k);
+  out.push_back('{');
+}
+
+void close(std::string& out) { out.push_back('}'); }
+
+void open_array(std::string& out) {
+  sep(out);
+  out.push_back('[');
+}
+
+void open_array(std::string& out, std::string_view k) {
+  key(out, k);
+  out.push_back('[');
+}
+
+void close_array(std::string& out) { out.push_back(']'); }
+
+void put_u(std::string& out, std::string_view k, std::uint64_t v) {
+  key(out, k);
+  append_u64(v, out);
+}
+
+void put_i(std::string& out, std::string_view k, std::int64_t v) {
+  key(out, k);
+  append_i64(v, out);
+}
+
+void put_d(std::string& out, std::string_view k, double v) {
+  key(out, k);
+  append_double(v, out);
+}
+
+void put_b(std::string& out, std::string_view k, bool v) {
+  key(out, k);
+  append_bool(v, out);
+}
+
+void put_s(std::string& out, std::string_view k, std::string_view v) {
+  key(out, k);
+  escape(v, out);
+}
+
+void put_null(std::string& out, std::string_view k) {
+  key(out, k);
+  out += "null";
+}
+
+void put_raw(std::string& out, std::string_view k, std::string_view json) {
+  key(out, k);
+  out += json;
+}
+
+void item_d(std::string& out, double v) {
+  sep(out);
+  append_double(v, out);
+}
+
+void item_s(std::string& out, std::string_view v) {
+  sep(out);
+  escape(v, out);
+}
+
+void write(const Value& v, std::string& out) {
+  switch (v.kind) {
+    case Value::Kind::Null:
+      sep(out);
+      out += "null";
+      break;
+    case Value::Kind::Bool:
+      sep(out);
+      append_bool(v.b, out);
+      break;
+    case Value::Kind::Number:
+      sep(out);
+      out += v.raw;
+      break;
+    case Value::Kind::String: item_s(out, v.str); break;
+    case Value::Kind::Array:
+      open_array(out);
+      for (const Value& e : v.arr) write(e, out);
+      close_array(out);
+      break;
+    case Value::Kind::Object:
+      open(out);
+      for (const auto& [k, e] : v.obj) {
+        key(out, k);
+        write(e, out);
+      }
+      close(out);
+      break;
+  }
+}
 
 }  // namespace gia::core::json

@@ -2,18 +2,23 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 /// \file json.hpp
-/// Minimal dependency-free JSON reader/writer shared by the run-report
-/// layer (core/instrument), the result serialization layer (core/serialize)
-/// and the serving protocol (serve/). The writer helpers emit canonical
-/// single-line JSON: numbers via %.17g (doubles round-trip exactly through
-/// strtod, so serialize -> parse -> re-serialize is byte-identical), object
-/// keys in emission order, no whitespace. The parser keeps number tokens
-/// verbatim so a parsed document can be interrogated as integer or double
-/// without precision loss.
+/// Minimal dependency-free JSON reader/writer, and the one place in the
+/// tree that knows JSON punctuation: every document the program emits --
+/// flow results (core/serialize), run reports (core/instrument), stage-cache
+/// and fault counters, request and search-spec wire forms, and every daemon
+/// and fleet response line -- is built from the writer below, never from
+/// hand-placed quote/brace/comma fragments.
+///
+/// The writer emits canonical single-line JSON: numbers via %.17g (doubles
+/// round-trip exactly through strtod, so serialize -> parse -> re-serialize
+/// is byte-identical), object keys in emission order, no whitespace. The
+/// parser keeps number tokens verbatim so a parsed document can be
+/// interrogated as integer or double without precision loss.
 
 namespace gia::core::json {
 
@@ -55,12 +60,51 @@ Value parse(const std::string& text);
 Value parse(const std::string& text, const ParseLimits& limits);
 
 /// Append `"s"` with standard JSON escaping.
-void escape(const std::string& s, std::string& out);
+void escape(std::string_view s, std::string& out);
 
 void append_u64(std::uint64_t v, std::string& out);
 void append_i64(std::int64_t v, std::string& out);
 /// Shortest-exact double formatting (%.17g): strtod(output) == v.
 void append_double(double v, std::string& out);
 void append_bool(bool v, std::string& out);
+
+// --- Writer. The helpers append to a caller-owned string and place their
+// own separators: a key, a value or an opening bracket is preceded by a
+// comma unless `out` is empty or ends in '{', '[' or ':'. Keyed helpers
+// (`put_*`, `open(out, k)`) write an object member; the unkeyed ones write
+// an array element or a top-level value.
+//
+//   std::string out;
+//   json::open(out);                   // {
+//   json::put_u(out, "hits", 3);       // "hits":3
+//   json::open(out, "stage");          // ,"stage":{
+//   json::put_b(out, "ok", true);      // "ok":true
+//   json::close(out);                  // }
+//   json::close(out);                  // }
+
+/// `"k":` (with its separator); the next value completes the member.
+void key(std::string& out, std::string_view k);
+void open(std::string& out);                    ///< {
+void open(std::string& out, std::string_view k);  ///< "k":{
+void close(std::string& out);                   ///< }
+void open_array(std::string& out);                    ///< [
+void open_array(std::string& out, std::string_view k);  ///< "k":[
+void close_array(std::string& out);                   ///< ]
+
+void put_u(std::string& out, std::string_view k, std::uint64_t v);
+void put_i(std::string& out, std::string_view k, std::int64_t v);
+void put_d(std::string& out, std::string_view k, double v);
+void put_b(std::string& out, std::string_view k, bool v);
+void put_s(std::string& out, std::string_view k, std::string_view v);
+void put_null(std::string& out, std::string_view k);
+/// Member whose value is an already rendered JSON document.
+void put_raw(std::string& out, std::string_view k, std::string_view json);
+
+void item_d(std::string& out, double v);
+void item_s(std::string& out, std::string_view v);
+
+/// Re-serialize a parsed document in canonical single-line form (number
+/// tokens verbatim, so nothing is lost), as a value at the current position.
+void write(const Value& v, std::string& out);
 
 }  // namespace gia::core::json

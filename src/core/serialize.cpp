@@ -8,99 +8,81 @@ namespace gia::core {
 
 namespace {
 
-// Writer helpers: `key(out, "name")` then one value appender. Keys are
-// emitted in a fixed order so the output is canonical.
-void key(std::string& out, const char* k) {
-  if (out.back() != '{' && out.back() != '[') out.push_back(',');
-  json::escape(k, out);
-  out.push_back(':');
-}
+using json::close;
+using json::close_array;
+using json::item_d;
+using json::key;
+using json::open;
+using json::open_array;
+using json::put_b;
+using json::put_d;
+using json::put_i;
+using json::put_null;
+using json::put_s;
 
-void put_d(std::string& out, const char* k, double v) {
-  key(out, k);
-  json::append_double(v, out);
-}
-void put_i(std::string& out, const char* k, std::int64_t v) {
-  key(out, k);
-  json::append_i64(v, out);
-}
-void put_b(std::string& out, const char* k, bool v) {
-  key(out, k);
-  json::append_bool(v, out);
-}
-void put_s(std::string& out, const char* k, const std::string& v) {
-  key(out, k);
-  json::escape(v, out);
-}
+// Writers emit keys in a fixed order so the output is canonical.
 
 void serdes_json(std::string& out, const netlist::SerDesReport& s) {
-  out += "{";
+  open(out);
   put_i(out, "buses_serialized", s.buses_serialized);
   put_i(out, "wires_before", s.wires_before);
   put_i(out, "wires_after", s.wires_after);
   put_i(out, "serdes_instances_added", s.serdes_instances_added);
   put_i(out, "added_cells", s.added_cells);
   put_i(out, "latency_cycles", s.latency_cycles);
-  out += "}";
+  close(out);
 }
 
 void bump_plan_json(std::string& out, const chiplet::BumpPlan& p) {
-  out += "{";
+  open(out);
   put_i(out, "signal_bumps", p.signal_bumps);
   put_i(out, "pg_bumps", p.pg_bumps);
   put_d(out, "width_um", p.width_um);
   put_b(out, "bump_limited", p.bump_limited);
-  out += "}";
+  close(out);
 }
 
 void pnr_json(std::string& out, const chiplet::ChipletPnrResult& c) {
-  out += "{";
+  open(out);
   put_s(out, "side", c.side == netlist::ChipletSide::Logic ? "logic" : "memory");
   put_d(out, "fmax_hz", c.fmax_hz);
   put_d(out, "footprint_um", c.footprint_um);
   put_i(out, "cell_count", c.cell_count);
   put_d(out, "utilization", c.utilization);
   put_d(out, "wirelength_m", c.wirelength_m);
-  key(out, "power");
-  out += "{";
+  open(out, "power");
   put_d(out, "internal_w", c.power.internal_w);
   put_d(out, "switching_w", c.power.switching_w);
   put_d(out, "leakage_w", c.power.leakage_w);
   put_d(out, "total_w", c.power.total_w);
   put_d(out, "pin_cap_f", c.power.pin_cap_f);
   put_d(out, "wire_cap_f", c.power.wire_cap_f);
-  out += "}";
-  key(out, "congestion");
-  out += "{";
+  close(out);
+  open(out, "congestion");
   put_d(out, "demand_um", c.congestion.demand_um);
   put_d(out, "capacity_um", c.congestion.capacity_um);
   put_d(out, "utilization", c.congestion.utilization);
   put_d(out, "detour_factor", c.congestion.detour_factor);
-  out += "}";
+  close(out);
   put_i(out, "aib_lanes", c.aib_lanes);
   put_d(out, "aib_area_um2", c.aib_area_um2);
   put_d(out, "aib_area_frac", c.aib_area_frac);
   put_d(out, "aib_power_w", c.aib_power_w);
   put_d(out, "aib_power_frac", c.aib_power_frac);
   put_b(out, "timing_met", c.timing_met);
-  out += "}";
+  close(out);
 }
 
 void interposer_json(std::string& out, const interposer::InterposerDesign& d) {
-  out += "{";
-  key(out, "outline");
-  out += "[";
-  json::append_double(d.floorplan.outline.lx, out);
-  out += ",";
-  json::append_double(d.floorplan.outline.ly, out);
-  out += ",";
-  json::append_double(d.floorplan.outline.ux, out);
-  out += ",";
-  json::append_double(d.floorplan.outline.uy, out);
-  out += "]";
+  open(out);
+  open_array(out, "outline");
+  item_d(out, d.floorplan.outline.lx);
+  item_d(out, d.floorplan.outline.ly);
+  item_d(out, d.floorplan.outline.ux);
+  item_d(out, d.floorplan.outline.uy);
+  close_array(out);
   const auto& s = d.routes.stats;
-  key(out, "route_stats");
-  out += "{";
+  open(out, "route_stats");
   put_d(out, "total_wl_um", s.total_wl_um);
   put_d(out, "min_wl_um", s.min_wl_um);
   put_d(out, "avg_wl_um", s.avg_wl_um);
@@ -111,26 +93,24 @@ void interposer_json(std::string& out, const interposer::InterposerDesign& d) {
   put_i(out, "signal_layers_used", s.signal_layers_used);
   put_i(out, "overflowed_cells", s.overflowed_cells);
   put_i(out, "routed_nets", s.routed_nets);
-  out += "}";
-  out += "}";
+  close(out);
+  close(out);
 }
 
 void link_json(std::string& out, const LinkStudy& l) {
-  out += "{";
+  open(out);
   put_d(out, "length_um", l.spec.length_um);
   put_d(out, "bit_rate_hz", l.spec.bit_rate_hz);
-  key(out, "result");
-  out += "{";
+  open(out, "result");
   put_d(out, "driver_delay_s", l.result.driver_delay_s);
   put_d(out, "interconnect_delay_s", l.result.interconnect_delay_s);
   put_d(out, "total_delay_s", l.result.total_delay_s);
   put_d(out, "driver_power_w", l.result.driver_power_w);
   put_d(out, "interconnect_power_w", l.result.interconnect_power_w);
   put_d(out, "total_power_w", l.result.total_power_w);
-  out += "}";
-  key(out, "eye");
+  close(out);
   if (l.eye.has_value()) {
-    out += "{";
+    open(out, "eye");
     put_d(out, "width_s", l.eye->width_s);
     put_d(out, "height_v", l.eye->height_v);
     put_d(out, "ui_s", l.eye->ui_s);
@@ -138,29 +118,27 @@ void link_json(std::string& out, const LinkStudy& l) {
     put_d(out, "mean_low_v", l.eye->mean_low_v);
     put_d(out, "sigma_high_v", l.eye->sigma_high_v);
     put_d(out, "sigma_low_v", l.eye->sigma_low_v);
-    out += "}";
+    close(out);
   } else {
-    out += "null";
+    put_null(out, "eye");
   }
-  out += "}";
+  close(out);
 }
 
 void thermal_json(std::string& out, const thermal::ThermalReport& t) {
-  out += "{";
-  key(out, "dies");
-  out += "{";
+  open(out);
+  open(out, "dies");
   for (const auto& [name, die] : t.dies) {
-    key(out, name.c_str());
-    out += "{";
+    open(out, name);
     put_d(out, "hotspot_c", die.hotspot_c);
     put_d(out, "average_c", die.average_c);
-    out += "}";
+    close(out);
   }
-  out += "}";
+  close(out);
   put_d(out, "interposer_hotspot_c", t.interposer_hotspot_c);
   put_d(out, "ambient_c", t.ambient_c);
   put_d(out, "hotspot_spread", t.hotspot_spread);
-  out += "}";
+  close(out);
 }
 
 // --- Readers --------------------------------------------------------------
@@ -278,25 +256,25 @@ thermal::ThermalReport thermal_from(const json::Value& v) {
 }  // namespace
 
 std::string technology_result_to_json(const TechnologyResult& r) {
-  std::string out = "{\"technology_result\":{";
+  std::string out;
+  open(out);
+  open(out, "technology_result");
   put_s(out, "tech", tech::short_name(r.technology.kind));
 
   key(out, "serdes");
   serdes_json(out, r.serdes);
 
-  key(out, "partition");
-  out += "{";
+  open(out, "partition");
   put_i(out, "cut_wires", r.partition.cut_wires);
   put_d(out, "memory_fraction", r.partition.memory_fraction);
-  out += "}";
+  close(out);
 
-  key(out, "plans");
-  out += "{";
+  open(out, "plans");
   key(out, "logic");
   bump_plan_json(out, r.plans.logic);
   key(out, "memory");
   bump_plan_json(out, r.plans.memory);
-  out += "}";
+  close(out);
 
   key(out, "logic");
   pnr_json(out, r.logic);
@@ -311,8 +289,7 @@ std::string technology_result_to_json(const TechnologyResult& r) {
   key(out, "l2l");
   link_json(out, r.l2l);
 
-  key(out, "pdn_model");
-  out += "{";
+  open(out, "pdn_model");
   put_d(out, "l_feed", r.pdn_model.l_feed);
   put_d(out, "r_feed", r.pdn_model.r_feed);
   put_d(out, "c_plane", r.pdn_model.c_plane);
@@ -321,49 +298,39 @@ std::string technology_result_to_json(const TechnologyResult& r) {
   put_d(out, "l_entry", r.pdn_model.l_entry);
   put_d(out, "r_entry", r.pdn_model.r_entry);
   put_d(out, "r_substrate_loss", r.pdn_model.r_substrate_loss);
-  out += "}";
+  close(out);
 
-  key(out, "pdn_impedance");
-  out += "{";
-  key(out, "freq_hz");
-  out += "[";
-  for (std::size_t i = 0; i < r.pdn_impedance.freq_hz.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    json::append_double(r.pdn_impedance.freq_hz[i], out);
-  }
-  out += "]";
-  key(out, "z_ohm");
-  out += "[";
-  for (std::size_t i = 0; i < r.pdn_impedance.z_ohm.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    json::append_double(r.pdn_impedance.z_ohm[i], out);
-  }
-  out += "]";
-  out += "}";
+  open(out, "pdn_impedance");
+  open_array(out, "freq_hz");
+  for (const double f : r.pdn_impedance.freq_hz) item_d(out, f);
+  close_array(out);
+  open_array(out, "z_ohm");
+  for (const double z : r.pdn_impedance.z_ohm) item_d(out, z);
+  close_array(out);
+  close(out);
 
-  key(out, "ir_drop");
-  out += "{";
+  open(out, "ir_drop");
   put_d(out, "max_drop_v", r.ir_drop.max_drop_v);
   put_d(out, "avg_drop_v", r.ir_drop.avg_drop_v);
-  out += "}";
+  close(out);
 
-  key(out, "settling");
-  out += "{";
+  open(out, "settling");
   put_d(out, "settling_time_s", r.settling.settling_time_s);
   put_d(out, "worst_droop_v", r.settling.worst_droop_v);
-  out += "}";
+  close(out);
 
-  key(out, "thermal");
   if (r.thermal.has_value()) {
+    key(out, "thermal");
     thermal_json(out, *r.thermal);
   } else {
-    out += "null";
+    put_null(out, "thermal");
   }
 
   put_d(out, "total_power_w", r.total_power_w);
   put_d(out, "system_fmax_hz", r.system_fmax_hz);
   put_b(out, "link_timing_met", r.link_timing_met);
-  out += "}}";
+  close(out);
+  close(out);
   return out;
 }
 
@@ -415,14 +382,17 @@ TechnologyResult technology_result_from_json(const std::string& text) {
 }
 
 std::string headline_metrics_to_json(const HeadlineMetrics& h) {
-  std::string out = "{\"headline_metrics\":{";
+  std::string out;
+  open(out);
+  open(out, "headline_metrics");
   put_d(out, "area_reduction_x", h.area_reduction_x);
   put_d(out, "wirelength_reduction_x", h.wirelength_reduction_x);
   put_d(out, "power_reduction_pct", h.power_reduction_pct);
   put_d(out, "si_improvement_pct", h.si_improvement_pct);
   put_d(out, "pi_improvement_x", h.pi_improvement_x);
   put_d(out, "thermal_increase_pct", h.thermal_increase_pct);
-  out += "}}";
+  close(out);
+  close(out);
   return out;
 }
 

@@ -1,42 +1,19 @@
 #include "core/solver_backend.hpp"
 
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
-#include <cstring>
 
 namespace gia::core {
 
 namespace {
 
-/// -1 = uninitialised (read GIA_SOLVER on first query), else the enum value.
-std::atomic<int> g_backend{-1};
-
-SolverBackend parse_env() {
-  const char* env = std::getenv("GIA_SOLVER");
-  if (env == nullptr || *env == '\0') return SolverBackend::Auto;
-  char buf[8] = {};
-  for (int i = 0; i < 7 && env[i] != '\0'; ++i) {
-    buf[i] = static_cast<char>(std::tolower(static_cast<unsigned char>(env[i])));
-  }
-  if (std::strcmp(buf, "dense") == 0) return SolverBackend::Dense;
-  if (std::strcmp(buf, "sparse") == 0) return SolverBackend::Sparse;
-  return SolverBackend::Auto;
-}
+std::atomic<SolverBackend> g_backend{SolverBackend::Auto};
 
 }  // namespace
 
-SolverBackend solver_backend() noexcept {
-  int v = g_backend.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = static_cast<int>(parse_env());
-    g_backend.store(v, std::memory_order_relaxed);
-  }
-  return static_cast<SolverBackend>(v);
-}
+SolverBackend solver_backend() noexcept { return g_backend.load(std::memory_order_relaxed); }
 
 void set_solver_backend(SolverBackend b) noexcept {
-  g_backend.store(static_cast<int>(b), std::memory_order_relaxed);
+  g_backend.store(b, std::memory_order_relaxed);
 }
 
 bool use_sparse_mna(int unknowns) noexcept {

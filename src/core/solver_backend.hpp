@@ -5,23 +5,21 @@
 /// engines (dense LU vs sparse CSR + Krylov) and the thermal steady-state
 /// solver (fixed-sweep SOR vs geometric multigrid).
 ///
-/// The `GIA_SOLVER` environment variable picks the backend:
-///   dense   -- always the small-n reference path (dense LU / SOR)
-///   sparse  -- always the sparse/iterative path (CSR Krylov / multigrid)
-///   auto    -- switch on problem size (the default; unset, empty, or an
-///              unrecognized value all mean auto)
-/// Under `auto` the dense path serves every problem below the thresholds
-/// here, so default flow runs stay byte-identical to the pre-sparse code.
+/// The default backend is `Auto`: each problem picks its path from its own
+/// size (`use_sparse_mna`, `use_multigrid`), so a result depends only on its
+/// inputs. Below the thresholds here the dense path serves every problem,
+/// keeping default flow runs byte-identical to the pre-sparse code.
+/// `set_solver_backend` forces one path process-wide (solver tests and the
+/// solver-scaling bench compare them on the same problem).
 
 namespace gia::core {
 
 enum class SolverBackend { Dense, Sparse, Auto };
 
-/// The selected backend. First call reads `GIA_SOLVER`; `set_solver_backend`
-/// overrides.
+/// The selected backend (`Auto` unless `set_solver_backend` forced one).
 SolverBackend solver_backend() noexcept;
 
-/// Force the backend (tests and embedders; overrides the environment).
+/// Force the backend (tests and benches).
 void set_solver_backend(SolverBackend b) noexcept;
 
 /// Unknown count at which `auto` hands an MNA system to the sparse Krylov

@@ -209,9 +209,8 @@ void write_knobs(StageId id, const FlowOptions& o, canon::Writer& w) {
 // --- Process-wide stage-artifact cache: sharded LRU over type-erased
 // artifact pointers, with in-flight coalescing (a concurrent second
 // computation of the same key blocks on the first instead of duplicating
-// the work). Counters are always live (the serving layer reports them with
-// tracing off); the instrument-layer counters are additionally fed when
-// tracing is on.
+// the work). Its counters are always live: the serving layer's stats verb
+// reports them with tracing off.
 
 using ArtifactPtr = std::shared_ptr<const void>;
 
@@ -249,7 +248,6 @@ class StageCache {
       ArtifactPtr art = it->second->artifact;  // copy under the lock
       lk.unlock();
       count(hits_, id);
-      instrument::counter_add(instrument::Counter::StageCacheHits);
       *outcome = StageRunRecord::Outcome::CacheHit;
       return art;
     }
@@ -257,7 +255,6 @@ class StageCache {
       auto fut = p->second;
       lk.unlock();
       count(coalesced_, id);
-      instrument::counter_add(instrument::Counter::StageCacheHits);
       *outcome = StageRunRecord::Outcome::Coalesced;
       return fut.get();  // rethrows the computing thread's exception
     }
@@ -266,7 +263,6 @@ class StageCache {
     lk.unlock();
 
     count(misses_, id);
-    instrument::counter_add(instrument::Counter::StageCacheMisses);
     *outcome = StageRunRecord::Outcome::Computed;
     ArtifactPtr art;
     try {
@@ -792,41 +788,32 @@ std::uint64_t StageCacheStats::total_coalesced() const {
 
 StageCacheStats stage_cache_stats() { return cache().stats(); }
 
-std::string stage_cache_stats_json() {
-  const StageCacheStats s = stage_cache_stats();
-  std::string out = "{\"enabled\":";
-  json::append_bool(s.enabled, out);
-  out += ",\"entries\":";
-  json::append_u64(s.entries, out);
-  out += ",\"capacity\":";
-  json::append_u64(s.capacity, out);
-  out += ",\"hits\":";
-  json::append_u64(s.total_hits(), out);
-  out += ",\"misses\":";
-  json::append_u64(s.total_misses(), out);
-  out += ",\"evictions\":";
-  json::append_u64(s.total_evictions(), out);
-  out += ",\"coalesced\":";
-  json::append_u64(s.total_coalesced(), out);
-  out += ",\"stages\":{";
-  bool first = true;
+void to_json(const StageCacheStats& s, std::string& out) {
+  json::open(out);
+  json::put_b(out, "enabled", s.enabled);
+  json::put_u(out, "entries", s.entries);
+  json::put_u(out, "capacity", s.capacity);
+  json::put_u(out, "hits", s.total_hits());
+  json::put_u(out, "misses", s.total_misses());
+  json::put_u(out, "evictions", s.total_evictions());
+  json::put_u(out, "coalesced", s.total_coalesced());
+  json::open(out, "stages");
   for (const StageInfo& si : kRegistry) {
     const auto& ps = s.stage[static_cast<std::size_t>(idx(si.id))];
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    out += si.name;
-    out += "\":{\"hits\":";
-    json::append_u64(ps.hits, out);
-    out += ",\"misses\":";
-    json::append_u64(ps.misses, out);
-    out += ",\"evictions\":";
-    json::append_u64(ps.evictions, out);
-    out += ",\"coalesced\":";
-    json::append_u64(ps.coalesced, out);
-    out.push_back('}');
+    json::open(out, si.name);
+    json::put_u(out, "hits", ps.hits);
+    json::put_u(out, "misses", ps.misses);
+    json::put_u(out, "evictions", ps.evictions);
+    json::put_u(out, "coalesced", ps.coalesced);
+    json::close(out);
   }
-  out += "}}";
+  json::close(out);
+  json::close(out);
+}
+
+std::string stage_cache_stats_json() {
+  std::string out;
+  to_json(stage_cache_stats(), out);
   return out;
 }
 

@@ -194,8 +194,10 @@ StageCacheStats stage_cache_stats();
 /// counters -- used by the dse:: cache-aware batch ordering, which must
 /// observe the cache without perturbing it. Always false when disabled.
 bool stage_cache_resident(std::uint64_t key);
-/// Canonical single-line JSON of `stage_cache_stats()` (embedded in the
-/// daemon `stats` verb and bench JSON lines).
+/// Append `s` as one JSON object (totals, then per-stage counters in
+/// registry order) -- the "stage_cache" block of the daemon stats verb.
+void to_json(const StageCacheStats& s, std::string& out);
+/// `to_json(stage_cache_stats())` as a string (bench JSON lines).
 std::string stage_cache_stats_json();
 
 /// Drop every cached artifact and zero the counters.

@@ -13,7 +13,6 @@
 
 namespace gia::dse {
 
-namespace ins = core::instrument;
 using Clock = std::chrono::steady_clock;
 
 core::MetricMap metrics_of(const core::TechnologyResult& r) {
@@ -120,13 +119,9 @@ struct Engine {
     ev.cache_assisted = ev.cache_hit || ev.coalesced || c.resident_stages > 0;
 
     ++sum.points_evaluated;
-    ins::counter_add(ins::Counter::DsePointsEvaluated);
     if (ev.cache_hit) ++sum.cache_hits;
     if (ev.coalesced) ++sum.coalesced;
-    if (ev.cache_assisted) {
-      ++sum.cache_assisted;
-      ins::counter_add(ins::Counter::DseCacheAssistedPoints);
-    }
+    if (ev.cache_assisted) ++sum.cache_assisted;
 
     if (st == serve::JobTicket::Status::Done) {
       ev.ok = true;
@@ -142,11 +137,8 @@ struct Engine {
         // evaluated, or refine_phase expands a stale neighborhood.
         index_of_label[ev.label] = c.index;
         const auto outcome = front.add({ev.label, ev.metrics});
-        if (outcome.added) {
-          ins::counter_add(ins::Counter::DseFrontUpdates);
-          if (cb.on_front) {
-            cb.on_front({front.version(), front.hypervolume(), front.members()});
-          }
+        if (outcome.added && cb.on_front) {
+          cb.on_front({front.version(), front.hypervolume(), front.members()});
         }
       } else {
         ++sum.points_infeasible;

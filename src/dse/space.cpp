@@ -476,73 +476,48 @@ SearchSpec spec_from_value(const json::Value& v) {
 SearchSpec spec_from_json(const std::string& text) { return spec_from_value(json::parse(text)); }
 
 std::string spec_to_json(const SearchSpec& spec) {
-  std::string out = "{\"search\":{\"space\":{";
-  bool first = true;
+  std::string out;
+  json::open(out);
+  json::open(out, "search");
+  json::open(out, "space");
   for (const auto& a : spec.space.axes) {
-    if (!first) out.push_back(',');
-    first = false;
-    json::escape(a.knob, out);
-    out += ":[";
+    json::open_array(out, a.knob);
     if (a.type == KnobType::Token) {
-      for (std::size_t i = 0; i < a.tokens.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        json::escape(a.tokens[i], out);
-      }
+      for (const auto& t : a.tokens) json::item_s(out, t);
     } else {
-      for (std::size_t i = 0; i < a.values.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        json::append_double(a.values[i], out);
-      }
+      for (const double x : a.values) json::item_d(out, x);
     }
-    out.push_back(']');
+    json::close_array(out);
   }
-  out += "},\"base\":";
-  {
-    // request_to_json emits exactly {"flow_request":{...}}; reuse its inner
-    // object so the base spelling can never drift from the request schema.
-    const std::string wrapped = serve::request_to_json(spec.space.base);
-    out += wrapped.substr(16, wrapped.size() - 17);
+  json::close(out);
+  json::key(out, "base");
+  serve::write_request(spec.space.base, out);
+  json::open_array(out, "objectives");
+  for (const auto& o : spec.objectives) {
+    json::open(out);
+    json::put_s(out, "metric", o.metric);
+    json::put_s(out, "direction", o.direction == core::Direction::Minimize ? "min" : "max");
+    json::close(out);
   }
-  out += ",\"objectives\":[";
-  for (std::size_t i = 0; i < spec.objectives.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += "{\"metric\":";
-    json::escape(spec.objectives[i].metric, out);
-    out += ",\"direction\":";
-    json::escape(spec.objectives[i].direction == core::Direction::Minimize ? "min" : "max", out);
-    out.push_back('}');
-  }
-  out.push_back(']');
+  json::close_array(out);
   if (!spec.constraints.empty()) {
-    out += ",\"constraints\":[";
-    for (std::size_t i = 0; i < spec.constraints.size(); ++i) {
-      const Constraint& c = spec.constraints[i];
-      if (i > 0) out.push_back(',');
-      out += "{\"metric\":";
-      json::escape(c.metric, out);
-      if (c.has_min) {
-        out += ",\"min\":";
-        json::append_double(c.min, out);
-      }
-      if (c.has_max) {
-        out += ",\"max\":";
-        json::append_double(c.max, out);
-      }
-      out.push_back('}');
+    json::open_array(out, "constraints");
+    for (const Constraint& c : spec.constraints) {
+      json::open(out);
+      json::put_s(out, "metric", c.metric);
+      if (c.has_min) json::put_d(out, "min", c.min);
+      if (c.has_max) json::put_d(out, "max", c.max);
+      json::close(out);
     }
-    out.push_back(']');
+    json::close_array(out);
   }
-  out += ",\"seed_points\":";
-  json::append_i64(spec.seed_points, out);
-  out += ",\"refine_rounds\":";
-  json::append_i64(spec.refine_rounds, out);
-  out += ",\"batch\":";
-  json::append_i64(spec.batch, out);
-  out += ",\"max_points\":";
-  json::append_u64(spec.max_points, out);
-  out += ",\"point_events\":";
-  json::append_bool(spec.point_events, out);
-  out += "}}";
+  json::put_i(out, "seed_points", spec.seed_points);
+  json::put_i(out, "refine_rounds", spec.refine_rounds);
+  json::put_i(out, "batch", spec.batch);
+  json::put_u(out, "max_points", spec.max_points);
+  json::put_b(out, "point_events", spec.point_events);
+  json::close(out);
+  json::close(out);
   return out;
 }
 

@@ -75,7 +75,7 @@ ImpedanceProfile impedance_profile(const PdnModel& model, const ImpedanceOptions
 
   const auto freqs = log_freq_grid(opts.f_start_hz, opts.f_stop_hz, opts.points_per_decade);
   // run_ac factors and solves the independent frequency points in parallel
-  // (see circuit/ac.cpp) and routes each point through the GIA_SOLVER
+  // (see circuit/ac.cpp) and routes each point through the solver
   // backend (dense LU below core::kSparseAutoUnknowns unknowns, CSR +
   // BiCGSTAB above); each |Z| slot below is likewise per-index.
   if (core::instrument::enabled()) {

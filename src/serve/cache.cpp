@@ -14,7 +14,7 @@
 
 #include <unistd.h>
 
-#include "core/instrument.hpp"
+#include "core/json.hpp"
 #include "core/serialize.hpp"
 #include "serve/faultinject.hpp"
 #include "serve/request.hpp"
@@ -22,7 +22,7 @@
 namespace gia::serve {
 
 namespace fs = std::filesystem;
-namespace ins = core::instrument;
+namespace json = core::json;
 
 struct ResultCache::Impl {
   struct Shard {
@@ -85,7 +85,6 @@ ResultCache::ResultPtr ResultCache::get(std::uint64_t key) {
     if (it != sh.index.end()) {
       sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
       impl_->hits.fetch_add(1, std::memory_order_relaxed);
-      ins::counter_add(ins::Counter::CacheHits);
       return it->second->second;
     }
   }
@@ -103,7 +102,6 @@ ResultCache::ResultPtr ResultCache::get(std::uint64_t key) {
         insert(key, result, /*write_disk=*/false);
         impl_->hits.fetch_add(1, std::memory_order_relaxed);
         impl_->disk_hits.fetch_add(1, std::memory_order_relaxed);
-        ins::counter_add(ins::Counter::CacheHits);
         return result;
       } catch (const std::exception& e) {
         // Corrupt disk entries degrade to a miss (the flow re-runs and
@@ -118,7 +116,6 @@ ResultCache::ResultPtr ResultCache::get(std::uint64_t key) {
   }
 
   impl_->misses.fetch_add(1, std::memory_order_relaxed);
-  ins::counter_add(ins::Counter::CacheMisses);
   return nullptr;
 }
 
@@ -211,6 +208,19 @@ ResultCache::Stats ResultCache::stats() const {
   }
   s.entries = entries;
   return s;
+}
+
+void to_json(const ResultCache::Stats& s, std::string& out) {
+  json::open(out);
+  json::put_u(out, "hits", s.hits);
+  json::put_u(out, "disk_hits", s.disk_hits);
+  json::put_u(out, "misses", s.misses);
+  json::put_u(out, "insertions", s.insertions);
+  json::put_u(out, "evictions", s.evictions);
+  json::put_u(out, "disk_writes", s.disk_writes);
+  json::put_u(out, "disk_errors", s.disk_errors);
+  json::put_u(out, "entries", s.entries);
+  json::close(out);
 }
 
 bool ResultCache::disk_enabled() const { return !impl_->dir.empty(); }

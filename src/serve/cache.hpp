@@ -55,8 +55,7 @@ class ResultCache {
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// Look up a key: memory first (refreshes LRU position), then the disk
-  /// store. Returns nullptr on a miss. Updates hit/miss counters and the
-  /// instrument layer's CacheHits/CacheMisses.
+  /// store. Returns nullptr on a miss. Updates the hit/miss counters.
   ResultPtr get(std::uint64_t key);
 
   /// Insert (or refresh) a result; evicts the least-recently-used entry of
@@ -77,5 +76,8 @@ class ResultCache {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// Append `s` as one JSON object: the "cache" block of the stats verb.
+void to_json(const ResultCache::Stats& s, std::string& out);
 
 }  // namespace gia::serve

@@ -37,7 +37,6 @@
 namespace gia::serve {
 
 namespace json = core::json;
-namespace ins = core::instrument;
 
 namespace {
 
@@ -77,6 +76,104 @@ std::uint64_t splitmix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
+}
+
+/// Opens a response line: `{"ok":<ok>`, then the request's id echoed
+/// verbatim when it carried one. Callers add members and close it.
+std::string reply(bool ok, const json::Value* id) {
+  std::string out;
+  json::open(out);
+  json::put_b(out, "ok", ok);
+  if (id != nullptr) {
+    json::key(out, "id");
+    json::write(*id, out);
+  }
+  return out;
+}
+
+/// A whole error line (newline included) for a connection-level failure
+/// that belongs to no request id.
+std::string error_line(const char* what) {
+  std::string out = reply(false, nullptr);
+  json::put_s(out, "error", what);
+  json::close(out);
+  out.push_back('\n');
+  return out;
+}
+
+const char* cache_outcome(bool hit, bool coalesced) {
+  return hit ? "hit" : (coalesced ? "coalesced" : "miss");
+}
+
+constexpr const char* kFlowFields[] = {"flow_request", "id",    "priority",
+                                       "deadline_ms",  "after", "result"};
+
+/// The first member of `v` whose name is not in `allowed`, or nullptr.
+template <std::size_t N>
+const std::string* unknown_field(const json::Value& v, const char* const (&allowed)[N]) {
+  for (const auto& kv : v.obj) {
+    bool known = false;
+    for (const char* k : allowed) known = known || kv.first == k;
+    if (!known) return &kv.first;
+  }
+  return nullptr;
+}
+
+void put_metrics(std::string& out, const core::MetricMap& m) {
+  json::open(out, "metrics");
+  for (const auto& [name, value] : m) json::put_d(out, name, value);
+  json::close(out);
+}
+
+void put_front(std::string& out, const std::vector<core::DesignPoint>& front) {
+  json::open_array(out, "front");
+  for (const auto& p : front) {
+    json::open(out);
+    json::put_s(out, "label", p.label);
+    put_metrics(out, p.metrics);
+    json::close(out);
+  }
+  json::close_array(out);
+}
+
+/// The stats verb body: one rendering of a `Server::stats()` snapshot, so
+/// the verb and the struct cannot disagree. A coordinator has no local
+/// scheduler or caches; it carries `fleet_view` (`Fleet::stats_json`, a
+/// roundtrip per worker, hence not part of the snapshot) instead.
+void to_json(const Server::Stats& s, const std::string& fleet_view, std::string& out) {
+  json::open(out);
+  json::put_i(out, "port", s.port);
+  if (s.fleet.enabled) json::put_b(out, "coordinator", true);
+  json::put_u(out, "connections", s.connections);
+  json::put_u(out, "requests", s.requests);
+  json::put_u(out, "flow_requests", s.flow_requests);
+  json::put_u(out, "protocol_errors", s.protocol_errors);
+  json::put_u(out, "timeouts", s.timeouts);
+  json::put_u(out, "oversize_rejections", s.oversize_rejections);
+  json::put_d(out, "uptime_s", s.uptime_s);
+  if (s.fleet.enabled) {
+    json::put_raw(out, "fleet", fleet_view);
+  } else {
+    json::open(out, "dse");
+    json::put_u(out, "searches", s.dse.searches);
+    json::put_u(out, "completed", s.dse.completed);
+    json::put_u(out, "cancelled", s.dse.cancelled);
+    json::put_u(out, "expired", s.dse.expired);
+    json::put_u(out, "rejected", s.dse.rejected);
+    json::put_u(out, "active", s.dse.active);
+    json::put_u(out, "points_evaluated", s.dse.points_evaluated);
+    json::put_u(out, "front_updates", s.dse.front_updates);
+    json::put_u(out, "cache_assisted_points", s.dse.cache_assisted_points);
+    json::close(out);
+    json::key(out, "scheduler");
+    to_json(s.scheduler, out);
+    json::key(out, "cache");
+    to_json(s.cache, out);
+    json::key(out, "stage_cache");
+    core::stage::to_json(s.stage_cache, out);
+  }
+  if (fault::enabled()) json::put_raw(out, "faults", fault::counters_json());
+  json::close(out);
 }
 
 }  // namespace
@@ -127,8 +224,7 @@ struct Server::Impl {
     std::lock_guard<std::mutex> lk(search_mu);
     return active_searches.size();
   }
-  /// Always-on dse counters (the instrument-layer dse_* counters only
-  /// count when GIA_TRACE is set; the stats verb must not depend on that).
+  /// Search workload counters (the stats verb's "dse" block).
   std::atomic<std::uint64_t> n_searches{0}, n_search_done{0}, n_search_cancelled{0},
       n_search_expired{0}, n_search_rejected{0}, n_search_points{0}, n_front_updates{0},
       n_search_cache_assisted{0};
@@ -218,10 +314,7 @@ struct Server::Impl {
   /// timeout, not a protocol error (the bytes on the wire were fine).
   void timeout_close(int fd, const char* what) {
     n_timeouts.fetch_add(1, std::memory_order_relaxed);
-    std::string resp = "{\"ok\":false,\"error\":";
-    json::escape(what, resp);
-    resp += "}\n";
-    send_all(fd, resp);
+    send_all(fd, error_line(what));
   }
 
   void handle_connection(int fd) {
@@ -301,7 +394,7 @@ struct Server::Impl {
       if (buf.size() + static_cast<std::size_t>(n) > opts.max_line_bytes) {
         n_protocol_errors.fetch_add(1, std::memory_order_relaxed);
         n_oversize.fetch_add(1, std::memory_order_relaxed);
-        send_all(fd, "{\"ok\":false,\"error\":\"request line too long\"}\n");
+        send_all(fd, error_line("request line too long"));
         break;
       }
       buf.append(chunk, static_cast<std::size_t>(n));
@@ -309,13 +402,11 @@ struct Server::Impl {
     }
   }
 
-  std::string error_response(const std::string& id_field, const std::string& msg) {
+  std::string error_response(const json::Value* id, const std::string& msg) {
     n_protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    std::string out = "{\"ok\":false";
-    out += id_field;
-    out += ",\"error\":";
-    json::escape(msg, out);
-    out.push_back('}');
+    std::string out = reply(false, id);
+    json::put_s(out, "error", msg);
+    json::close(out);
     return out;
   }
 
@@ -326,101 +417,86 @@ struct Server::Impl {
   std::string handle_line(int fd, const std::string& line) {
     GIA_SPAN("serve/request");
     n_requests.fetch_add(1, std::memory_order_relaxed);
-    std::string id_field;
+    json::Value v;  // outlives the try block: `id` points into it
+    const json::Value* id = nullptr;
     try {
       json::ParseLimits limits;
       limits.max_depth = opts.max_json_depth;
       limits.max_bytes = opts.max_line_bytes;
-      const json::Value v = json::parse(line, limits);
+      v = json::parse(line, limits);
       if (v.kind != json::Value::Kind::Object)
-        return error_response(id_field, "request must be a JSON object");
+        return error_response(nullptr, "request must be a JSON object");
       if (const json::Value* idv = v.find("id")) {
-        id_field = ",\"id\":";
-        if (idv->kind == json::Value::Kind::Number) {
-          id_field += idv->raw;
-        } else if (idv->kind == json::Value::Kind::String) {
-          json::escape(idv->str, id_field);
-        } else {
-          return error_response(std::string(), "id must be a number or string");
-        }
+        if (idv->kind != json::Value::Kind::Number && idv->kind != json::Value::Kind::String)
+          return error_response(nullptr, "id must be a number or string");
+        id = idv;
       }
 
       if (const json::Value* frv = v.find("flow_request"))
-        return fleet ? handle_flow_fleet(v, *frv, id_field, line)
-                     : handle_flow(v, *frv, id_field);
+        return fleet ? handle_flow_fleet(v, *frv, id, line) : handle_flow(v, *frv, id);
       if (fleet && (v.find("search") || v.find("search_cancel") || v.find("search_refine")))
-        return error_response(id_field,
+        return error_response(id,
                               "search verbs are worker-local (streams and search ids live on "
                               "one worker); connect to a worker directly");
-      if (v.find("search")) return handle_search(fd, v, id_field);
-      if (const json::Value* cv = v.find("search_cancel"))
-        return handle_search_cancel(v, *cv, id_field);
-      if (const json::Value* rv = v.find("search_refine"))
-        return handle_search_refine(v, *rv, id_field);
+      if (v.find("search")) return handle_search(fd, v, id);
+      if (const json::Value* cv = v.find("search_cancel")) return handle_search_cancel(v, *cv, id);
+      if (const json::Value* rv = v.find("search_refine")) return handle_search_refine(v, *rv, id);
+      std::string out = reply(true, id);
       if (v.find("stats")) {
-        std::string out = "{\"ok\":true";
-        out += id_field;
-        out += ",\"stats\":";
-        out += stats_body();
-        out.push_back('}');
-        return out;
-      }
-      if (v.find("ping")) return "{\"ok\":true" + id_field + ",\"pong\":true}";
-      if (v.find("shutdown")) {
+        json::put_raw(out, "stats", stats_body());
+      } else if (v.find("ping")) {
+        json::put_b(out, "pong", true);
+      } else if (v.find("shutdown")) {
         // Reply first; request_stop only flips flags, so the response still
         // flushes before this connection's read loop observes the drain.
         request_stop();
-        return "{\"ok\":true" + id_field + ",\"draining\":true}";
+        json::put_b(out, "draining", true);
+      } else {
+        return error_response(id,
+                              "unknown request (expected flow_request, search, search_cancel, "
+                              "search_refine, stats, ping or shutdown)");
       }
-      return error_response(id_field,
-                            "unknown request (expected flow_request, search, search_cancel, "
-                            "search_refine, stats, ping or shutdown)");
+      json::close(out);
+      return out;
     } catch (const std::exception& e) {
-      return error_response(id_field, e.what());
+      return error_response(id, e.what());
     }
   }
 
-  std::string handle_flow(const json::Value& v, const json::Value& frv,
-                          const std::string& id_field) {
-    static const char* const kAllowed[] = {"flow_request", "id",     "priority",
-                                           "deadline_ms",  "after", "result"};
-    for (const auto& kv : v.obj) {
-      bool known = false;
-      for (const char* k : kAllowed) known = known || kv.first == k;
-      if (!known) return error_response(id_field, "unknown request field: " + kv.first);
-    }
+  std::string handle_flow(const json::Value& v, const json::Value& frv, const json::Value* id) {
+    if (const std::string* k = unknown_field(v, kFlowFields))
+      return error_response(id, "unknown request field: " + *k);
 
     const FlowRequest req = request_from_value(frv);
     JobScheduler::SubmitOptions sopts;
     if (const json::Value* p = v.find("priority")) {
       if (p->kind != json::Value::Kind::Number)
-        return error_response(id_field, "priority must be a number");
+        return error_response(id, "priority must be a number");
       sopts.priority = static_cast<int>(p->as_i64());
     }
     if (const json::Value* d = v.find("deadline_ms")) {
       if (d->kind != json::Value::Kind::Number || d->raw[0] == '-')
-        return error_response(id_field, "deadline_ms must be a non-negative number");
+        return error_response(id, "deadline_ms must be a non-negative number");
       sopts.deadline =
           std::chrono::steady_clock::now() + std::chrono::milliseconds(d->as_u64());
     }
     if (const json::Value* a = v.find("after")) {
       if (a->kind != json::Value::Kind::Array)
-        return error_response(id_field, "after must be an array of job ids");
+        return error_response(id, "after must be an array of job ids");
       for (const auto& e : a->arr) {
         if (e.kind != json::Value::Kind::Number || e.raw[0] == '-')
-          return error_response(id_field, "after entries must be non-negative job ids");
+          return error_response(id, "after entries must be non-negative job ids");
         sopts.after.push_back(e.as_u64());
       }
     }
     bool include_result = true;
     if (const json::Value* r = v.find("result")) {
       if (r->kind != json::Value::Kind::Bool)
-        return error_response(id_field, "result must be a boolean");
+        return error_response(id, "result must be a boolean");
       include_result = r->as_bool();
     }
 
     n_flow_requests.fetch_add(1, std::memory_order_relaxed);
-    ins::counter_add(ins::Counter::ServeRequests);
 
     const auto t0 = std::chrono::steady_clock::now();
     const JobTicket ticket = scheduler->submit(req, sopts);
@@ -439,25 +515,15 @@ struct Server::Impl {
     }
     const bool ok = status == JobTicket::Status::Done;
 
-    std::string out = ok ? "{\"ok\":true" : "{\"ok\":false";
-    out += id_field;
-    out += ",\"status\":\"";
-    out += status_str;
-    out += "\",\"cache\":\"";
-    out += ticket.from_cache() ? "hit" : (ticket.coalesced() ? "coalesced" : "miss");
-    out += "\",\"key\":\"";
-    out += key_hex(ticket.key());
-    out += "\",\"latency_us\":";
-    json::append_u64(static_cast<std::uint64_t>(latency_us), out);
-    if (ok && include_result && ticket.result()) {
-      out += ",\"result\":";
-      out += core::technology_result_to_json(*ticket.result());
-    }
-    if (!ok && !ticket.error().empty()) {
-      out += ",\"error\":";
-      json::escape(ticket.error(), out);
-    }
-    out.push_back('}');
+    std::string out = reply(ok, id);
+    json::put_s(out, "status", status_str);
+    json::put_s(out, "cache", cache_outcome(ticket.from_cache(), ticket.coalesced()));
+    json::put_s(out, "key", key_hex(ticket.key()));
+    json::put_u(out, "latency_us", static_cast<std::uint64_t>(latency_us));
+    if (ok && include_result && ticket.result())
+      json::put_raw(out, "result", core::technology_result_to_json(*ticket.result()));
+    if (!ok && !ticket.error().empty()) json::put_s(out, "error", ticket.error());
+    json::close(out);
     return out;
   }
 
@@ -469,80 +535,41 @@ struct Server::Impl {
   /// key is down or saturated the request is shed with a structured
   /// "overloaded" error instead of queueing.
   std::string handle_flow_fleet(const json::Value& v, const json::Value& frv,
-                                const std::string& id_field, const std::string& line) {
-    static const char* const kAllowed[] = {"flow_request", "id",     "priority",
-                                           "deadline_ms",  "after", "result"};
-    for (const auto& kv : v.obj) {
-      bool known = false;
-      for (const char* k : kAllowed) known = known || kv.first == k;
-      if (!known) return error_response(id_field, "unknown request field: " + kv.first);
-    }
+                                const json::Value* id, const std::string& line) {
+    if (const std::string* k = unknown_field(v, kFlowFields))
+      return error_response(id, "unknown request field: " + *k);
     // Job ids are worker-local; a dependency forwarded to a different
     // worker than the one that issued the id would silently mis-resolve.
     if (v.find("after"))
-      return error_response(id_field,
-                            "after (job dependencies) is not available in coordinator mode");
+      return error_response(id, "after (job dependencies) is not available in coordinator mode");
 
     const FlowRequest req = request_from_value(frv);  // throws -> handle_line
     const std::uint64_t key = request_key(req);
     n_flow_requests.fetch_add(1, std::memory_order_relaxed);
-    ins::counter_add(ins::Counter::ServeRequests);
 
     const Fleet::ForwardResult fr = fleet->forward(key, line);
     if (fr.ok) return fr.response;
 
-    std::string out = "{\"ok\":false";
-    out += id_field;
-    out += ",\"error\":\"overloaded\",\"shed\":true,\"key\":\"";
-    out += key_hex(key);
-    out += "\",\"attempts\":";
-    json::append_i64(fr.attempts, out);
-    out += ",\"detail\":";
-    json::escape(fr.error, out);
-    out.push_back('}');
+    std::string out = reply(false, id);
+    json::put_s(out, "error", "overloaded");
+    json::put_b(out, "shed", true);
+    json::put_s(out, "key", key_hex(key));
+    json::put_i(out, "attempts", fr.attempts);
+    json::put_s(out, "detail", fr.error);
+    json::close(out);
     return out;
   }
 
-  static void append_metrics(const core::MetricMap& m, std::string& out) {
-    out.push_back('{');
-    bool first = true;
-    for (const auto& [name, value] : m) {
-      if (!first) out.push_back(',');
-      first = false;
-      json::escape(name, out);
-      out.push_back(':');
-      json::append_double(value, out);
-    }
-    out.push_back('}');
-  }
-
-  static void append_front(const std::vector<core::DesignPoint>& front, std::string& out) {
-    out.push_back('[');
-    for (std::size_t i = 0; i < front.size(); ++i) {
-      if (i > 0) out.push_back(',');
-      out += "{\"label\":";
-      json::escape(front[i].label, out);
-      out += ",\"metrics\":";
-      append_metrics(front[i].metrics, out);
-      out.push_back('}');
-    }
-    out.push_back(']');
-  }
-
-  std::string handle_search(int fd, const json::Value& v, const std::string& id_field) {
-    static const char* const kAllowed[] = {"search", "id", "deadline_ms"};
-    for (const auto& kv : v.obj) {
-      bool known = false;
-      for (const char* k : kAllowed) known = known || kv.first == k;
-      if (!known) return error_response(id_field, "unknown request field: " + kv.first);
-    }
+  std::string handle_search(int fd, const json::Value& v, const json::Value* id) {
+    if (const std::string* k = unknown_field(v, {"search", "id", "deadline_ms"}))
+      return error_response(id, "unknown request field: " + *k);
 
     const dse::SearchSpec spec = dse::spec_from_value(v);  // throws -> handle_line
 
     Clock::time_point deadline{};
     if (const json::Value* d = v.find("deadline_ms")) {
       if (d->kind != json::Value::Kind::Number || d->raw[0] == '-')
-        return error_response(id_field, "deadline_ms must be a non-negative number");
+        return error_response(id, "deadline_ms must be a non-negative number");
       deadline = Clock::now() + std::chrono::milliseconds(d->as_u64());
     }
     if (opts.max_search_ms > 0) {
@@ -555,10 +582,10 @@ struct Server::Impl {
     if (spec.max_points > 0) budget = std::min(budget, spec.max_points);
     if (opts.max_search_points > 0 && budget > opts.max_search_points) {
       n_search_rejected.fetch_add(1, std::memory_order_relaxed);
-      return error_response(id_field, "search budget of " + std::to_string(budget) +
-                                          " points exceeds max_search_points=" +
-                                          std::to_string(opts.max_search_points) +
-                                          " (set \"max_points\" to sample the space)");
+      return error_response(id, "search budget of " + std::to_string(budget) +
+                                    " points exceeds max_search_points=" +
+                                    std::to_string(opts.max_search_points) +
+                                    " (set \"max_points\" to sample the space)");
     }
 
     auto ctl = std::make_shared<dse::SearchControl>();
@@ -568,8 +595,8 @@ struct Server::Impl {
       if (opts.max_active_searches > 0 &&
           static_cast<int>(active_searches.size()) >= opts.max_active_searches) {
         n_search_rejected.fetch_add(1, std::memory_order_relaxed);
-        return error_response(id_field, "too many active searches (max_active_searches=" +
-                                            std::to_string(opts.max_active_searches) + ")");
+        return error_response(id, "too many active searches (max_active_searches=" +
+                                      std::to_string(opts.max_active_searches) + ")");
       }
       // A stop that raced this registration still cancels us: re-check
       // under search_mu, where request_stop's cancel sweep also runs.
@@ -579,12 +606,20 @@ struct Server::Impl {
     }
     n_searches.fetch_add(1, std::memory_order_relaxed);
 
+    // Every event line opens the same way.
+    const auto event = [&](const char* name) {
+      std::string out = reply(true, id);
+      json::put_s(out, "event", name);
+      json::put_u(out, "search_id", sid);
+      return out;
+    };
     // Events stream on this thread (run_search blocks here and invokes the
     // callbacks synchronously), so plain sends on fd cannot interleave. A
     // failed send cancels the search: the peer is gone, stop paying.
     bool stream_ok = true;
-    auto emit = [&](std::string body) {
+    const auto emit = [&](std::string body) {
       if (!stream_ok) return;
+      json::close(body);
       body.push_back('\n');
       if (!send_all(fd, body)) {
         if (errno == EAGAIN || errno == EWOULDBLOCK)
@@ -595,64 +630,36 @@ struct Server::Impl {
     };
 
     {
-      std::string out = "{\"ok\":true";
-      out += id_field;
-      out += ",\"event\":\"search_started\",\"search_id\":";
-      json::append_u64(sid, out);
-      out += ",\"key\":\"";
-      out += key_hex(spec.key());
-      out += "\",\"space_points\":";
-      json::append_u64(space_points, out);
-      out += ",\"budget\":";
-      json::append_u64(budget, out);
-      out.push_back('}');
+      std::string out = event("search_started");
+      json::put_s(out, "key", key_hex(spec.key()));
+      json::put_u(out, "space_points", space_points);
+      json::put_u(out, "budget", budget);
       emit(std::move(out));
     }
 
     dse::SearchCallbacks cbs;
     cbs.on_point = [&](const dse::PointEvent& ev) {
-      std::string out = "{\"ok\":true";
-      out += id_field;
-      out += ",\"event\":\"point_evaluated\",\"search_id\":";
-      json::append_u64(sid, out);
-      out += ",\"index\":";
-      json::append_u64(ev.index, out);
-      out += ",\"label\":";
-      json::escape(ev.label, out);
-      out += ",\"key\":\"";
-      out += key_hex(ev.request_key);
-      out += "\",\"point_ok\":";
-      json::append_bool(ev.ok, out);
-      out += ",\"feasible\":";
-      json::append_bool(ev.feasible, out);
-      out += ",\"cache\":\"";
-      out += ev.cache_hit ? "hit" : (ev.coalesced ? "coalesced" : "miss");
-      out += "\",\"resident_stages\":";
-      json::append_i64(ev.resident_stages, out);
-      out += ",\"cache_assisted\":";
-      json::append_bool(ev.cache_assisted, out);
+      std::string out = event("point_evaluated");
+      json::put_u(out, "index", ev.index);
+      json::put_s(out, "label", ev.label);
+      json::put_s(out, "key", key_hex(ev.request_key));
+      json::put_b(out, "point_ok", ev.ok);
+      json::put_b(out, "feasible", ev.feasible);
+      json::put_s(out, "cache", cache_outcome(ev.cache_hit, ev.coalesced));
+      json::put_i(out, "resident_stages", ev.resident_stages);
+      json::put_b(out, "cache_assisted", ev.cache_assisted);
       if (ev.ok) {
-        out += ",\"metrics\":";
-        append_metrics(ev.metrics, out);
+        put_metrics(out, ev.metrics);
       } else {
-        out += ",\"error\":";
-        json::escape(ev.error, out);
+        json::put_s(out, "error", ev.error);
       }
-      out.push_back('}');
       emit(std::move(out));
     };
     cbs.on_front = [&](const dse::FrontEvent& ev) {
-      std::string out = "{\"ok\":true";
-      out += id_field;
-      out += ",\"event\":\"front_updated\",\"search_id\":";
-      json::append_u64(sid, out);
-      out += ",\"version\":";
-      json::append_u64(ev.version, out);
-      out += ",\"hypervolume\":";
-      json::append_double(ev.hypervolume, out);
-      out += ",\"front\":";
-      append_front(ev.front, out);
-      out.push_back('}');
+      std::string out = event("front_updated");
+      json::put_u(out, "version", ev.version);
+      json::put_d(out, "hypervolume", ev.hypervolume);
+      put_front(out, ev.front);
       emit(std::move(out));
     };
 
@@ -681,215 +688,119 @@ struct Server::Impl {
 
     if (!stream_ok) return std::string();  // peer gone: close the connection
 
-    std::string out = "{\"ok\":true";
-    out += id_field;
-    out += ",\"event\":\"search_done\",\"search_id\":";
-    json::append_u64(sid, out);
-    out += ",\"status\":\"";
-    out += sum.status;
-    out += "\",\"space_points\":";
-    json::append_u64(sum.space_points, out);
-    out += ",\"points_evaluated\":";
-    json::append_u64(sum.points_evaluated, out);
-    out += ",\"points_failed\":";
-    json::append_u64(sum.points_failed, out);
-    out += ",\"points_infeasible\":";
-    json::append_u64(sum.points_infeasible, out);
-    out += ",\"cache_hits\":";
-    json::append_u64(sum.cache_hits, out);
-    out += ",\"coalesced\":";
-    json::append_u64(sum.coalesced, out);
-    out += ",\"cache_assisted\":";
-    json::append_u64(sum.cache_assisted, out);
-    out += ",\"rounds\":";
-    json::append_i64(sum.rounds_run, out);
-    out += ",\"front_version\":";
-    json::append_u64(sum.front_version, out);
-    out += ",\"hypervolume\":";
-    json::append_double(sum.hypervolume, out);
-    out += ",\"front\":";
-    append_front(sum.front, out);
-    out += ",\"wall_s\":";
-    json::append_double(sum.wall_s, out);
-    out.push_back('}');
+    std::string out = event("search_done");
+    json::put_s(out, "status", sum.status);
+    json::put_u(out, "space_points", sum.space_points);
+    json::put_u(out, "points_evaluated", sum.points_evaluated);
+    json::put_u(out, "points_failed", sum.points_failed);
+    json::put_u(out, "points_infeasible", sum.points_infeasible);
+    json::put_u(out, "cache_hits", sum.cache_hits);
+    json::put_u(out, "coalesced", sum.coalesced);
+    json::put_u(out, "cache_assisted", sum.cache_assisted);
+    json::put_i(out, "rounds", sum.rounds_run);
+    json::put_u(out, "front_version", sum.front_version);
+    json::put_d(out, "hypervolume", sum.hypervolume);
+    put_front(out, sum.front);
+    json::put_d(out, "wall_s", sum.wall_s);
+    json::close(out);
     return out;
   }
 
   std::string handle_search_cancel(const json::Value& v, const json::Value& cv,
-                                   const std::string& id_field) {
-    static const char* const kAllowed[] = {"search_cancel", "id"};
-    for (const auto& kv : v.obj) {
-      bool known = false;
-      for (const char* k : kAllowed) known = known || kv.first == k;
-      if (!known) return error_response(id_field, "unknown request field: " + kv.first);
-    }
+                                   const json::Value* id) {
+    if (const std::string* k = unknown_field(v, {"search_cancel", "id"}))
+      return error_response(id, "unknown request field: " + *k);
     if (cv.kind != json::Value::Kind::Number || cv.raw[0] == '-')
-      return error_response(id_field, "search_cancel must be a search id");
+      return error_response(id, "search_cancel must be a search id");
     const std::uint64_t sid = cv.as_u64();
     {
       std::lock_guard<std::mutex> lk(search_mu);
       auto it = active_searches.find(sid);
       if (it == active_searches.end())
-        return error_response(id_field, "unknown search id " + std::to_string(sid));
+        return error_response(id, "unknown search id " + std::to_string(sid));
       it->second.ctl->cancel();
     }
-    std::string out = "{\"ok\":true";
-    out += id_field;
-    out += ",\"search_id\":";
-    json::append_u64(sid, out);
-    out += ",\"cancelling\":true}";
+    std::string out = reply(true, id);
+    json::put_u(out, "search_id", sid);
+    json::put_b(out, "cancelling", true);
+    json::close(out);
     return out;
   }
 
   std::string handle_search_refine(const json::Value& v, const json::Value& rv,
-                                   const std::string& id_field) {
-    static const char* const kAllowed[] = {"search_refine", "rounds", "id"};
-    for (const auto& kv : v.obj) {
-      bool known = false;
-      for (const char* k : kAllowed) known = known || kv.first == k;
-      if (!known) return error_response(id_field, "unknown request field: " + kv.first);
-    }
+                                   const json::Value* id) {
+    if (const std::string* k = unknown_field(v, {"search_refine", "rounds", "id"}))
+      return error_response(id, "unknown request field: " + *k);
     if (rv.kind != json::Value::Kind::Number || rv.raw[0] == '-')
-      return error_response(id_field, "search_refine must be a search id");
+      return error_response(id, "search_refine must be a search id");
     const std::uint64_t sid = rv.as_u64();
     int rounds = 1;
     if (const json::Value* r = v.find("rounds")) {
       if (r->kind != json::Value::Kind::Number || r->as_i64() < 1)
-        return error_response(id_field, "rounds must be a positive number");
+        return error_response(id, "rounds must be a positive number");
       rounds = static_cast<int>(r->as_i64());
     }
     {
       std::lock_guard<std::mutex> lk(search_mu);
       auto it = active_searches.find(sid);
       if (it == active_searches.end())
-        return error_response(id_field, "unknown search id " + std::to_string(sid));
+        return error_response(id, "unknown search id " + std::to_string(sid));
       it->second.ctl->add_refine_rounds(rounds);
     }
-    std::string out = "{\"ok\":true";
-    out += id_field;
-    out += ",\"search_id\":";
-    json::append_u64(sid, out);
-    out += ",\"refine_rounds_added\":";
-    json::append_i64(rounds, out);
-    out.push_back('}');
+    std::string out = reply(true, id);
+    json::put_u(out, "search_id", sid);
+    json::put_i(out, "refine_rounds_added", rounds);
+    json::close(out);
     return out;
   }
 
+  Stats snapshot() const {
+    Stats s;
+    s.port = bound_port;
+    s.connections = n_connections.load(std::memory_order_relaxed);
+    s.requests = n_requests.load(std::memory_order_relaxed);
+    s.flow_requests = n_flow_requests.load(std::memory_order_relaxed);
+    s.protocol_errors = n_protocol_errors.load(std::memory_order_relaxed);
+    s.timeouts = n_timeouts.load(std::memory_order_relaxed);
+    s.oversize_rejections = n_oversize.load(std::memory_order_relaxed);
+    s.dse.searches = n_searches.load(std::memory_order_relaxed);
+    s.dse.completed = n_search_done.load(std::memory_order_relaxed);
+    s.dse.cancelled = n_search_cancelled.load(std::memory_order_relaxed);
+    s.dse.expired = n_search_expired.load(std::memory_order_relaxed);
+    s.dse.rejected = n_search_rejected.load(std::memory_order_relaxed);
+    s.dse.active = active_search_count();
+    s.dse.points_evaluated = n_search_points.load(std::memory_order_relaxed);
+    s.dse.front_updates = n_front_updates.load(std::memory_order_relaxed);
+    s.dse.cache_assisted_points = n_search_cache_assisted.load(std::memory_order_relaxed);
+    if (scheduler) s.scheduler = scheduler->counters();
+    if (cache) s.cache = cache->stats();
+    s.stage_cache = core::stage::stage_cache_stats();
+    if (fleet) {
+      const auto fc = fleet->counters();
+      s.fleet.enabled = true;
+      s.fleet.forwarded = fc.forwarded;
+      s.fleet.answered = fc.answered;
+      s.fleet.hedges = fc.hedges;
+      s.fleet.hedge_wins = fc.hedge_wins;
+      s.fleet.failovers = fc.failovers;
+      s.fleet.shed = fc.shed;
+      s.fleet.worker_failures = fc.worker_failures;
+      for (const auto& w : fleet->workers()) {
+        ++s.fleet.workers_total;
+        if (w.up) ++s.fleet.workers_up;
+      }
+    }
+    s.uptime_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time)
+                     .count();
+    return s;
+  }
+
+  /// Body of the stats verb. A coordinator adds its fleet view, which
+  /// roundtrips a stats verb to every live worker and merges.
   std::string stats_body() const {
-    if (fleet) return stats_body_fleet();
-    const auto sched = scheduler->counters();
-    const auto cst = cache->stats();
-    const double uptime =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time).count();
-    std::string out = "{\"port\":";
-    json::append_i64(bound_port, out);
-    out += ",\"connections\":";
-    json::append_u64(n_connections.load(std::memory_order_relaxed), out);
-    out += ",\"requests\":";
-    json::append_u64(n_requests.load(std::memory_order_relaxed), out);
-    out += ",\"flow_requests\":";
-    json::append_u64(n_flow_requests.load(std::memory_order_relaxed), out);
-    out += ",\"protocol_errors\":";
-    json::append_u64(n_protocol_errors.load(std::memory_order_relaxed), out);
-    out += ",\"timeouts\":";
-    json::append_u64(n_timeouts.load(std::memory_order_relaxed), out);
-    out += ",\"oversize_rejections\":";
-    json::append_u64(n_oversize.load(std::memory_order_relaxed), out);
-    out += ",\"uptime_s\":";
-    json::append_double(uptime, out);
-    out += ",\"dse\":{\"searches\":";
-    json::append_u64(n_searches.load(std::memory_order_relaxed), out);
-    out += ",\"completed\":";
-    json::append_u64(n_search_done.load(std::memory_order_relaxed), out);
-    out += ",\"cancelled\":";
-    json::append_u64(n_search_cancelled.load(std::memory_order_relaxed), out);
-    out += ",\"expired\":";
-    json::append_u64(n_search_expired.load(std::memory_order_relaxed), out);
-    out += ",\"rejected\":";
-    json::append_u64(n_search_rejected.load(std::memory_order_relaxed), out);
-    out += ",\"active\":";
-    json::append_u64(active_search_count(), out);
-    out += ",\"points_evaluated\":";
-    json::append_u64(n_search_points.load(std::memory_order_relaxed), out);
-    out += ",\"front_updates\":";
-    json::append_u64(n_front_updates.load(std::memory_order_relaxed), out);
-    out += ",\"cache_assisted_points\":";
-    json::append_u64(n_search_cache_assisted.load(std::memory_order_relaxed), out);
-    out += "},\"scheduler\":{\"pending\":";
-    json::append_u64(scheduler->pending(), out);
-    out += ",\"submitted\":";
-    json::append_u64(sched.submitted, out);
-    out += ",\"cache_hits\":";
-    json::append_u64(sched.cache_hits, out);
-    out += ",\"coalesced\":";
-    json::append_u64(sched.coalesced, out);
-    out += ",\"executed\":";
-    json::append_u64(sched.executed, out);
-    out += ",\"failed\":";
-    json::append_u64(sched.failed, out);
-    out += ",\"cancelled\":";
-    json::append_u64(sched.cancelled, out);
-    out += ",\"expired\":";
-    json::append_u64(sched.expired, out);
-    out += ",\"stage_hits\":";
-    json::append_u64(sched.stage_hits, out);
-    out += ",\"stage_misses\":";
-    json::append_u64(sched.stage_misses, out);
-    out += "},\"cache\":{\"hits\":";
-    json::append_u64(cst.hits, out);
-    out += ",\"disk_hits\":";
-    json::append_u64(cst.disk_hits, out);
-    out += ",\"misses\":";
-    json::append_u64(cst.misses, out);
-    out += ",\"insertions\":";
-    json::append_u64(cst.insertions, out);
-    out += ",\"evictions\":";
-    json::append_u64(cst.evictions, out);
-    out += ",\"disk_writes\":";
-    json::append_u64(cst.disk_writes, out);
-    out += ",\"disk_errors\":";
-    json::append_u64(cst.disk_errors, out);
-    out += ",\"entries\":";
-    json::append_u64(cst.entries, out);
-    out.push_back('}');
-    out += ",\"stage_cache\":";
-    out += core::stage::stage_cache_stats_json();
-    if (fault::enabled()) {
-      out += ",\"faults\":";
-      out += fault::counters_json();
-    }
-    out.push_back('}');
-    return out;
-  }
-
-  /// Coordinator stats: local protocol counters + the fleet view (which
-  /// roundtrips a stats verb to every live worker and merges).
-  std::string stats_body_fleet() const {
-    const double uptime =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time).count();
-    std::string out = "{\"port\":";
-    json::append_i64(bound_port, out);
-    out += ",\"coordinator\":true,\"connections\":";
-    json::append_u64(n_connections.load(std::memory_order_relaxed), out);
-    out += ",\"requests\":";
-    json::append_u64(n_requests.load(std::memory_order_relaxed), out);
-    out += ",\"flow_requests\":";
-    json::append_u64(n_flow_requests.load(std::memory_order_relaxed), out);
-    out += ",\"protocol_errors\":";
-    json::append_u64(n_protocol_errors.load(std::memory_order_relaxed), out);
-    out += ",\"timeouts\":";
-    json::append_u64(n_timeouts.load(std::memory_order_relaxed), out);
-    out += ",\"oversize_rejections\":";
-    json::append_u64(n_oversize.load(std::memory_order_relaxed), out);
-    out += ",\"uptime_s\":";
-    json::append_double(uptime, out);
-    out += ",\"fleet\":";
-    out += fleet->stats_json();
-    if (fault::enabled()) {
-      out += ",\"faults\":";
-      out += fault::counters_json();
-    }
-    out.push_back('}');
+    const Stats s = snapshot();
+    std::string out;
+    to_json(s, fleet ? fleet->stats_json() : std::string(), out);
     return out;
   }
 };
@@ -1023,50 +934,7 @@ void Server::wait() {
   im.wait_cv.notify_all();
 }
 
-Server::Stats Server::stats() const {
-  Stats s;
-  s.port = impl_->bound_port;
-  s.connections = impl_->n_connections.load(std::memory_order_relaxed);
-  s.requests = impl_->n_requests.load(std::memory_order_relaxed);
-  s.flow_requests = impl_->n_flow_requests.load(std::memory_order_relaxed);
-  s.protocol_errors = impl_->n_protocol_errors.load(std::memory_order_relaxed);
-  s.timeouts = impl_->n_timeouts.load(std::memory_order_relaxed);
-  s.oversize_rejections = impl_->n_oversize.load(std::memory_order_relaxed);
-  s.dse.searches = impl_->n_searches.load(std::memory_order_relaxed);
-  s.dse.completed = impl_->n_search_done.load(std::memory_order_relaxed);
-  s.dse.cancelled = impl_->n_search_cancelled.load(std::memory_order_relaxed);
-  s.dse.expired = impl_->n_search_expired.load(std::memory_order_relaxed);
-  s.dse.rejected = impl_->n_search_rejected.load(std::memory_order_relaxed);
-  s.dse.active = impl_->active_search_count();
-  s.dse.points_evaluated = impl_->n_search_points.load(std::memory_order_relaxed);
-  s.dse.front_updates = impl_->n_front_updates.load(std::memory_order_relaxed);
-  s.dse.cache_assisted_points = impl_->n_search_cache_assisted.load(std::memory_order_relaxed);
-  if (impl_->scheduler) {
-    s.scheduler = impl_->scheduler->counters();
-    s.scheduler_pending = impl_->scheduler->pending();
-  }
-  if (impl_->cache) s.cache = impl_->cache->stats();
-  s.stage_cache = core::stage::stage_cache_stats();
-  if (impl_->fleet) {
-    const auto fc = impl_->fleet->counters();
-    s.fleet.enabled = true;
-    s.fleet.forwarded = fc.forwarded;
-    s.fleet.answered = fc.answered;
-    s.fleet.hedges = fc.hedges;
-    s.fleet.hedge_wins = fc.hedge_wins;
-    s.fleet.failovers = fc.failovers;
-    s.fleet.shed = fc.shed;
-    s.fleet.worker_failures = fc.worker_failures;
-    for (const auto& w : impl_->fleet->workers()) {
-      ++s.fleet.workers_total;
-      if (w.up) ++s.fleet.workers_up;
-    }
-  }
-  s.uptime_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - impl_->start_time)
-          .count();
-  return s;
-}
+Server::Stats Server::stats() const { return impl_->snapshot(); }
 
 std::string Server::stats_json() const { return impl_->stats_body(); }
 

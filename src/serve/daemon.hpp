@@ -127,6 +127,10 @@ class Server {
   /// Block until a requested stop has fully drained (joins all threads).
   void wait();
 
+  /// One snapshot of the server's counters. These are the serving layer's
+  /// only counters: always on, owned per instance (this server, its
+  /// scheduler and result cache, the process-wide stage cache, the fleet),
+  /// and the stats verb body is rendered from this struct.
   struct Stats {
     int port = 0;  ///< kernel-assigned listen port (== port())
     std::uint64_t connections = 0;
@@ -139,8 +143,7 @@ class Server {
     /// Requests rejected for exceeding max_line_bytes (also counted in
     /// protocol_errors).
     std::uint64_t oversize_rejections = 0;
-    /// Streaming dse search workload (always-on counters, independent of
-    /// the GIA_TRACE-gated instrument layer).
+    /// Streaming dse search workload.
     struct Dse {
       std::uint64_t searches = 0;   ///< search verbs accepted (started)
       std::uint64_t completed = 0;  ///< finished with status "done"
@@ -153,8 +156,6 @@ class Server {
       std::uint64_t cache_assisted_points = 0;
     };
     Dse dse;
-    /// Scheduler jobs not yet terminal at snapshot time.
-    std::uint64_t scheduler_pending = 0;
     JobScheduler::Counters scheduler;
     ResultCache::Stats cache;
     /// Process-wide stage-artifact cache (core/stagegraph.hpp): per-stage
@@ -179,7 +180,8 @@ class Server {
   };
   Stats stats() const;
 
-  /// JSON body of the stats verb (exposed for tests and the client CLI).
+  /// JSON body of the stats verb, rendered from `stats()` (exposed for
+  /// tests and the client CLI).
   std::string stats_json() const;
 
  private:

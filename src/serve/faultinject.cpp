@@ -5,10 +5,10 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <thread>
 
 #include "core/json.hpp"
 
@@ -31,6 +31,13 @@ struct Registry {
 
 Registry g_reg;
 std::once_flag g_env_once;
+
+/// Stalls wait on this, not in sleep_for: configure() bumps the generation
+/// under the mutex, which ends every stall in progress. The stall lengths
+/// and the stall sites' thresholds are read under it too.
+std::mutex g_stall_mu;
+std::condition_variable g_stall_cv;
+std::uint64_t g_config_gen = 0;  // guarded by g_stall_mu
 
 std::uint64_t splitmix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ull;
@@ -144,7 +151,12 @@ const char* site_name(Site s) noexcept {
 
 void configure(const std::string& spec) {
   std::call_once(g_env_once, [] {});  // pre-empt the env read
-  apply_spec(spec);
+  {
+    std::lock_guard<std::mutex> lk(g_stall_mu);
+    apply_spec(spec);
+    ++g_config_gen;
+  }
+  g_stall_cv.notify_all();
 }
 
 bool enabled() noexcept {
@@ -181,18 +193,18 @@ void reset_counters() noexcept {
 }
 
 std::string counters_json() {
-  std::string out = "{";
+  namespace json = core::json;
+  std::string out;
+  json::open(out);
   for (int i = 0; i < kSiteCount; ++i) {
     if (g_reg.threshold[i] == 0) continue;
-    if (out.size() > 1) out.push_back(',');
-    core::json::escape(site_name(static_cast<Site>(i)), out);
-    out += ":{\"trials\":";
-    core::json::append_u64(trials(static_cast<Site>(i)), out);
-    out += ",\"injected\":";
-    core::json::append_u64(injected(static_cast<Site>(i)), out);
-    out.push_back('}');
+    const Site s = static_cast<Site>(i);
+    json::open(out, site_name(s));
+    json::put_u(out, "trials", trials(s));
+    json::put_u(out, "injected", injected(s));
+    json::close(out);
   }
-  out.push_back('}');
+  json::close(out);
   return out;
 }
 
@@ -225,20 +237,26 @@ int cache_write_error() noexcept {
   return 0;
 }
 
-void maybe_stall() {
-  if (enabled() && should_inject(Site::SchedStall)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(g_reg.stall_ms));
-  }
+namespace {
+
+/// `ms` is a registry field, passed by reference so it is read under the
+/// lock that configure() writes it under.
+void stall_if(Site site, const int& ms) {
+  if (!enabled()) return;
+  std::unique_lock<std::mutex> lk(g_stall_mu);
+  const std::uint64_t gen = g_config_gen;
+  if (!should_inject(site)) return;
+  g_stall_cv.wait_for(lk, std::chrono::milliseconds(ms), [&] { return g_config_gen != gen; });
 }
+
+}  // namespace
+
+void maybe_stall() { stall_if(Site::SchedStall, g_reg.stall_ms); }
 
 bool worker_dead() noexcept {
   return enabled() && should_inject(Site::FleetWorkerDown);
 }
 
-void maybe_slow_worker() {
-  if (enabled() && should_inject(Site::FleetSlowWorker)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(g_reg.slow_worker_ms));
-  }
-}
+void maybe_slow_worker() { stall_if(Site::FleetSlowWorker, g_reg.slow_worker_ms); }
 
 }  // namespace gia::serve::fault

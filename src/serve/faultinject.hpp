@@ -55,7 +55,9 @@ enum class Site : int {
 const char* site_name(Site s) noexcept;
 
 /// Arm sites from a spec string (see grammar above). Replaces any previous
-/// configuration; an empty spec disarms everything. Also resets counters.
+/// configuration; an empty spec disarms everything. Also resets counters
+/// and ends every injected stall in progress, so a test can hold a worker
+/// in a long stall and release it at a point of its choosing.
 void configure(const std::string& spec);
 
 /// True when any site has a non-zero probability. The first call reads

@@ -16,7 +16,7 @@
 
 namespace gia::serve {
 
-namespace instrument = core::instrument;
+namespace json = core::json;
 using Clock = std::chrono::steady_clock;
 
 // ---------------------------------------------------------------------------
@@ -146,8 +146,7 @@ struct Fleet::HedgeOp {
 struct Fleet::Impl {
   std::vector<std::shared_ptr<WorkerState>> states;
 
-  // Fleet-wide counters (always on, mirrored into the GIA_TRACE-gated
-  // instrument layer at the call sites).
+  // Fleet-wide counters (always on).
   std::atomic<std::uint64_t> n_forwarded{0};
   std::atomic<std::uint64_t> n_answered{0};
   std::atomic<std::uint64_t> n_hedges{0};
@@ -271,7 +270,6 @@ void Fleet::launch_attempt(const std::shared_ptr<HedgeOp>& op, int worker_index,
     } else {
       ws->record_failure(opts, Clock::now());
       impl->n_worker_failures.fetch_add(1, std::memory_order_relaxed);
-      instrument::counter_add(instrument::Counter::FleetWorkerFailures);
     }
     {
       std::lock_guard<std::mutex> lk(op->mu);
@@ -298,7 +296,6 @@ Fleet::ForwardResult Fleet::forward(std::uint64_t key, const std::string& line) 
   GIA_SPAN("fleet/forward");
   reap_finished(/*join_all=*/false);
   impl_->n_forwarded.fetch_add(1, std::memory_order_relaxed);
-  instrument::counter_add(instrument::Counter::FleetForwards);
 
   ForwardResult out;
   const auto now = Clock::now();
@@ -309,7 +306,6 @@ Fleet::ForwardResult Fleet::forward(std::uint64_t key, const std::string& line) 
   }
   if (candidates.empty()) {
     impl_->n_shed.fetch_add(1, std::memory_order_relaxed);
-    instrument::counter_add(instrument::Counter::FleetShed);
     out.shed = true;
     out.error = "all replicas down or saturated";
     return out;
@@ -345,7 +341,6 @@ Fleet::ForwardResult Fleet::forward(std::uint64_t key, const std::string& line) 
       if (timed_out) {
         const int idx = candidates[next++];
         impl_->n_hedges.fetch_add(1, std::memory_order_relaxed);
-        instrument::counter_add(instrument::Counter::FleetHedges);
         out.hedged = true;
         lk.unlock();
         launch_attempt(op, idx, line);
@@ -371,7 +366,6 @@ Fleet::ForwardResult Fleet::forward(std::uint64_t key, const std::string& line) 
     out.shed = true;
     out.error = op->first_error.empty() ? "all forward attempts failed" : op->first_error;
     impl_->n_shed.fetch_add(1, std::memory_order_relaxed);
-    instrument::counter_add(instrument::Counter::FleetShed);
   }
   return out;
 }
@@ -411,48 +405,30 @@ namespace {
 /// Sum an (optionally nested) numeric field of a worker's stats body into
 /// the aggregate; silently skips workers whose stats lack the field so a
 /// version-skewed worker cannot poison the merged view.
-std::uint64_t stat_u64(const core::json::Value& stats, const char* group, const char* field) {
-  const core::json::Value* v = &stats;
+std::uint64_t stat_u64(const json::Value& stats, const char* group, const char* field) {
+  const json::Value* v = &stats;
   if (group) {
     v = stats.find(group);
-    if (!v || v->kind != core::json::Value::Kind::Object) return 0;
+    if (!v || v->kind != json::Value::Kind::Object) return 0;
   }
-  const core::json::Value* f = v->find(field);
-  if (!f || f->kind != core::json::Value::Kind::Number) return 0;
+  const json::Value* f = v->find(field);
+  if (!f || f->kind != json::Value::Kind::Number) return 0;
   return f->as_u64();
 }
 
-/// Re-serialize a parsed value (canonical single-line form) so a worker's
-/// own stats body can be embedded verbatim in the fleet view.
-void serialize(const core::json::Value& v, std::string& out) {
-  using Kind = core::json::Value::Kind;
-  switch (v.kind) {
-    case Kind::Null: out += "null"; break;
-    case Kind::Bool: core::json::append_bool(v.b, out); break;
-    case Kind::Number: out += v.raw; break;  // verbatim token, no precision loss
-    case Kind::String: core::json::escape(v.str, out); break;
-    case Kind::Array:
-      out += "[";
-      for (std::size_t i = 0; i < v.arr.size(); ++i) {
-        if (i) out += ",";
-        serialize(v.arr[i], out);
-      }
-      out += "]";
-      break;
-    case Kind::Object:
-      out += "{";
-      for (std::size_t i = 0; i < v.obj.size(); ++i) {
-        if (i) out += ",";
-        core::json::escape(v.obj[i].first, out);
-        out += ":";
-        serialize(v.obj[i].second, out);
-      }
-      out += "}";
-      break;
-  }
-}
-
 }  // namespace
+
+void to_json(const Fleet::Counters& c, std::string& out) {
+  json::open(out);
+  json::put_u(out, "forwarded", c.forwarded);
+  json::put_u(out, "answered", c.answered);
+  json::put_u(out, "hedges", c.hedges);
+  json::put_u(out, "hedge_wins", c.hedge_wins);
+  json::put_u(out, "failovers", c.failovers);
+  json::put_u(out, "shed", c.shed);
+  json::put_u(out, "worker_failures", c.worker_failures);
+  json::close(out);
+}
 
 std::string Fleet::stats_json() {
   struct Agg {
@@ -463,104 +439,82 @@ std::string Fleet::stats_json() {
     std::uint64_t workers_up = 0;
   } agg;
 
-  std::string workers_body = "[";
+  std::string stats_request;
+  json::open(stats_request);
+  json::put_b(stats_request, "stats", true);
+  json::close(stats_request);
+
+  std::string out;
+  json::open(out);
+  json::open_array(out, "workers");
   const auto infos = workers();
-  for (std::size_t i = 0; i < infos.size(); ++i) {
-    const auto& w = infos[i];
-    if (i) workers_body += ",";
-    workers_body += "{\"host\":";
-    core::json::escape(w.host, workers_body);
-    workers_body += ",\"port\":";
-    core::json::append_i64(w.port, workers_body);
-    workers_body += ",\"up\":";
-    core::json::append_bool(w.up, workers_body);
-    workers_body += ",\"inflight\":";
-    core::json::append_i64(w.inflight, workers_body);
-    workers_body += ",\"forwarded\":";
-    core::json::append_u64(w.forwarded, workers_body);
-    workers_body += ",\"ok\":";
-    core::json::append_u64(w.ok, workers_body);
-    workers_body += ",\"failures\":";
-    core::json::append_u64(w.failures, workers_body);
-    workers_body += ",\"stats\":";
+  for (const auto& w : infos) {
+    json::open(out);
+    json::put_s(out, "host", w.host);
+    json::put_i(out, "port", w.port);
+    json::put_b(out, "up", w.up);
+    json::put_i(out, "inflight", w.inflight);
+    json::put_u(out, "forwarded", w.forwarded);
+    json::put_u(out, "ok", w.ok);
+    json::put_u(out, "failures", w.failures);
 
     // One bounded roundtrip per live worker; a worker in quarantine (or one
     // that fails the probe) contributes null, not an error.
-    std::string stats_value = "null";
+    const json::Value* stats = nullptr;
+    json::Value response;
     if (w.up) {
       Client::Options copts = opts_.client;
       copts.io_timeout_ms = std::min(copts.io_timeout_ms, 5000);
       Client client(copts);
-      std::string response;
-      if (client.connect(w.host, w.port) && client.roundtrip("{\"stats\":true}", &response)) {
+      std::string line;
+      if (client.connect(w.host, w.port) && client.roundtrip(stats_request, &line)) {
         try {
-          const auto v = core::json::parse(response);
-          const auto* stats = v.find("stats");
-          if (v.find("ok") && v.at("ok").as_bool() && stats &&
-              stats->kind == core::json::Value::Kind::Object) {
-            ++agg.workers_up;
-            agg.requests += stat_u64(*stats, nullptr, "requests");
-            agg.flow_requests += stat_u64(*stats, nullptr, "flow_requests");
-            agg.sched_submitted += stat_u64(*stats, "scheduler", "submitted");
-            agg.sched_cache_hits += stat_u64(*stats, "scheduler", "cache_hits");
-            agg.sched_coalesced += stat_u64(*stats, "scheduler", "coalesced");
-            agg.sched_executed += stat_u64(*stats, "scheduler", "executed");
-            agg.sched_failed += stat_u64(*stats, "scheduler", "failed");
-            agg.cache_hits += stat_u64(*stats, "cache", "hits");
-            agg.cache_misses += stat_u64(*stats, "cache", "misses");
-            stats_value.clear();
-            serialize(*stats, stats_value);
-          }
+          response = json::parse(line);
+          const json::Value* ok = response.find("ok");
+          stats = response.find("stats");
+          if (!ok || !ok->as_bool() || !stats || stats->kind != json::Value::Kind::Object)
+            stats = nullptr;
         } catch (const std::exception&) {
-          stats_value = "null";
+          stats = nullptr;
         }
       }
     }
-    workers_body += stats_value;
-    workers_body += "}";
+    if (stats) {
+      ++agg.workers_up;
+      agg.requests += stat_u64(*stats, nullptr, "requests");
+      agg.flow_requests += stat_u64(*stats, nullptr, "flow_requests");
+      agg.sched_submitted += stat_u64(*stats, "scheduler", "submitted");
+      agg.sched_cache_hits += stat_u64(*stats, "scheduler", "cache_hits");
+      agg.sched_coalesced += stat_u64(*stats, "scheduler", "coalesced");
+      agg.sched_executed += stat_u64(*stats, "scheduler", "executed");
+      agg.sched_failed += stat_u64(*stats, "scheduler", "failed");
+      agg.cache_hits += stat_u64(*stats, "cache", "hits");
+      agg.cache_misses += stat_u64(*stats, "cache", "misses");
+      json::key(out, "stats");
+      json::write(*stats, out);
+    } else {
+      json::put_null(out, "stats");
+    }
+    json::close(out);
   }
-  workers_body += "]";
+  json::close_array(out);
 
-  const auto c = counters();
-  std::string out = "{\"workers\":";
-  out += workers_body;
-  out += ",\"counters\":{\"forwarded\":";
-  core::json::append_u64(c.forwarded, out);
-  out += ",\"answered\":";
-  core::json::append_u64(c.answered, out);
-  out += ",\"hedges\":";
-  core::json::append_u64(c.hedges, out);
-  out += ",\"hedge_wins\":";
-  core::json::append_u64(c.hedge_wins, out);
-  out += ",\"failovers\":";
-  core::json::append_u64(c.failovers, out);
-  out += ",\"shed\":";
-  core::json::append_u64(c.shed, out);
-  out += ",\"worker_failures\":";
-  core::json::append_u64(c.worker_failures, out);
-  out += "},\"aggregate\":{\"workers_up\":";
-  core::json::append_u64(agg.workers_up, out);
-  out += ",\"workers_total\":";
-  core::json::append_u64(infos.size(), out);
-  out += ",\"requests\":";
-  core::json::append_u64(agg.requests, out);
-  out += ",\"flow_requests\":";
-  core::json::append_u64(agg.flow_requests, out);
-  out += ",\"scheduler_submitted\":";
-  core::json::append_u64(agg.sched_submitted, out);
-  out += ",\"scheduler_cache_hits\":";
-  core::json::append_u64(agg.sched_cache_hits, out);
-  out += ",\"scheduler_coalesced\":";
-  core::json::append_u64(agg.sched_coalesced, out);
-  out += ",\"scheduler_executed\":";
-  core::json::append_u64(agg.sched_executed, out);
-  out += ",\"scheduler_failed\":";
-  core::json::append_u64(agg.sched_failed, out);
-  out += ",\"cache_hits\":";
-  core::json::append_u64(agg.cache_hits, out);
-  out += ",\"cache_misses\":";
-  core::json::append_u64(agg.cache_misses, out);
-  out += "}}";
+  json::key(out, "counters");
+  to_json(counters(), out);
+  json::open(out, "aggregate");
+  json::put_u(out, "workers_up", agg.workers_up);
+  json::put_u(out, "workers_total", infos.size());
+  json::put_u(out, "requests", agg.requests);
+  json::put_u(out, "flow_requests", agg.flow_requests);
+  json::put_u(out, "scheduler_submitted", agg.sched_submitted);
+  json::put_u(out, "scheduler_cache_hits", agg.sched_cache_hits);
+  json::put_u(out, "scheduler_coalesced", agg.sched_coalesced);
+  json::put_u(out, "scheduler_executed", agg.sched_executed);
+  json::put_u(out, "scheduler_failed", agg.sched_failed);
+  json::put_u(out, "cache_hits", agg.cache_hits);
+  json::put_u(out, "cache_misses", agg.cache_misses);
+  json::close(out);
+  json::close(out);
   return out;
 }
 

@@ -179,4 +179,7 @@ class Fleet {
   std::unique_ptr<Impl> impl_;
 };
 
+/// Append `c` as one JSON object: the "counters" block of the fleet view.
+void to_json(const Fleet::Counters& c, std::string& out);
+
 }  // namespace gia::serve

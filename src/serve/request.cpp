@@ -1,6 +1,5 @@
 #include "serve/request.hpp"
 
-#include <cstdio>
 #include <functional>
 #include <stdexcept>
 #include <vector>
@@ -159,28 +158,16 @@ void walk(FlowRequest& r, V& v) {
 // formatting.
 
 struct JsonWriter {
-  std::string out;
+  std::string& out;
 
-  void sep() {
-    if (out.back() != '{') out.push_back(',');
-  }
-  void k(const char* name) {
-    sep();
-    json::escape(name, out);
-    out.push_back(':');
-  }
-  void begin(const char* name) {
-    k(name);
-    out.push_back('{');
-  }
+  void begin(const char* name) { json::open(out, name); }
   bool begin_optional(const char* name, bool nondefault) {
     if (nondefault) begin(name);
     return nondefault;
   }
-  void end() { out.push_back('}'); }
+  void end() { json::close(out); }
   void token(const char* name, std::string& cur, const std::function<void(const std::string&)>&) {
-    k(name);
-    json::escape(cur, out);
+    json::put_s(out, name, cur);
   }
   void token_opt(const char* name, std::string& cur, bool nondefault,
                  const std::function<void(const std::string&)>& set) {
@@ -190,22 +177,10 @@ struct JsonWriter {
   void field_opt(const char* name, T& x, bool nondefault) {
     if (nondefault) field(name, x);
   }
-  void field(const char* name, int& x) {
-    k(name);
-    json::append_i64(x, out);
-  }
-  void field(const char* name, unsigned& x) {
-    k(name);
-    json::append_u64(x, out);
-  }
-  void field(const char* name, bool& x) {
-    k(name);
-    json::append_bool(x, out);
-  }
-  void field(const char* name, double& x) {
-    k(name);
-    json::append_double(x, out);
-  }
+  void field(const char* name, int& x) { json::put_i(out, name, x); }
+  void field(const char* name, unsigned& x) { json::put_u(out, name, x); }
+  void field(const char* name, bool& x) { json::put_b(out, name, x); }
+  void field(const char* name, double& x) { json::put_d(out, name, x); }
 };
 
 /// Structure-directed reader: absent objects/fields keep defaults, present
@@ -305,13 +280,21 @@ std::uint64_t request_key(const FlowRequest& req) { return fnv1a64(canonical_tex
 
 std::string key_hex(std::uint64_t key) { return core::canon::key_hex(key); }
 
-std::string request_to_json(const FlowRequest& req) {
+void write_request(const FlowRequest& req, std::string& out) {
   FlowRequest copy = req;
-  JsonWriter w;
-  w.out = "{\"flow_request\":{";
+  JsonWriter w{out};
+  json::open(out);
   walk(copy, w);
-  w.out += "}}";
-  return w.out;
+  json::close(out);
+}
+
+std::string request_to_json(const FlowRequest& req) {
+  std::string out;
+  json::open(out);
+  json::key(out, "flow_request");
+  write_request(req, out);
+  json::close(out);
+  return out;
 }
 
 FlowRequest request_from_value(const json::Value& v) {

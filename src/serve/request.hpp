@@ -45,6 +45,9 @@ std::uint64_t fnv1a64(const std::string& bytes);
 
 /// Canonical single-line JSON carrying every knob (`{"flow_request":{...}}`).
 std::string request_to_json(const FlowRequest& req);
+/// The bare knob object of `request_to_json` (`{...}`), appended to `out`
+/// as a value through the core/json writer (e.g. a search spec's "base").
+void write_request(const FlowRequest& req, std::string& out);
 
 /// Parse a request from a `{"flow_request":{...}}` document or from the
 /// bare inner object. Unknown keys are rejected; missing keys keep their

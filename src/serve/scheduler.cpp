@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "core/instrument.hpp"
+#include "core/json.hpp"
 #include "core/stagegraph.hpp"
 #include "serve/faultinject.hpp"
 
@@ -323,7 +324,6 @@ JobTicket JobScheduler::submit(const FlowRequest& req, const SubmitOptions& opts
     }
     if (live) {
       impl_->n_coalesced.fetch_add(1, std::memory_order_relaxed);
-      ins::counter_add(ins::Counter::CacheCoalesced);
       return JobTicket(fl->second, /*from_cache=*/false, /*coalesced=*/true);
     }
   }
@@ -394,6 +394,7 @@ std::size_t JobScheduler::pending() const {
 
 JobScheduler::Counters JobScheduler::counters() const {
   Counters c;
+  c.pending = pending();
   c.submitted = impl_->n_submitted.load(std::memory_order_relaxed);
   c.cache_hits = impl_->n_cache_hits.load(std::memory_order_relaxed);
   c.coalesced = impl_->n_coalesced.load(std::memory_order_relaxed);
@@ -404,6 +405,22 @@ JobScheduler::Counters JobScheduler::counters() const {
   c.stage_hits = impl_->n_stage_hits.load(std::memory_order_relaxed);
   c.stage_misses = impl_->n_stage_misses.load(std::memory_order_relaxed);
   return c;
+}
+
+void to_json(const JobScheduler::Counters& c, std::string& out) {
+  namespace json = core::json;
+  json::open(out);
+  json::put_u(out, "pending", c.pending);
+  json::put_u(out, "submitted", c.submitted);
+  json::put_u(out, "cache_hits", c.cache_hits);
+  json::put_u(out, "coalesced", c.coalesced);
+  json::put_u(out, "executed", c.executed);
+  json::put_u(out, "failed", c.failed);
+  json::put_u(out, "cancelled", c.cancelled);
+  json::put_u(out, "expired", c.expired);
+  json::put_u(out, "stage_hits", c.stage_hits);
+  json::put_u(out, "stage_misses", c.stage_misses);
+  json::close(out);
 }
 
 }  // namespace gia::serve

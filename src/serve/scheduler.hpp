@@ -90,6 +90,7 @@ class JobScheduler {
   };
 
   struct Counters {
+    std::uint64_t pending = 0;     ///< jobs not yet terminal (see pending())
     std::uint64_t submitted = 0;   ///< submit() calls
     std::uint64_t cache_hits = 0;  ///< answered without queueing
     std::uint64_t coalesced = 0;   ///< attached to an in-flight duplicate
@@ -142,5 +143,8 @@ class JobScheduler {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// Append `c` as one JSON object: the "scheduler" block of the stats verb.
+void to_json(const JobScheduler::Counters& c, std::string& out);
 
 }  // namespace gia::serve

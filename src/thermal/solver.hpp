@@ -18,7 +18,7 @@
 ///    production-scale meshes where SOR's O(N) sweep count becomes the
 ///    wall.
 /// `SolverOptions::method` picks explicitly; `Auto` consults the
-/// process-wide `GIA_SOLVER` backend (core/solver_backend.hpp), which keeps
+/// process-wide solver backend (core/solver_backend.hpp), which keeps
 /// the default 48x48 flow mesh on SOR so flow output stays byte-identical.
 /// Meshes whose extents cannot halve (odd, or below the coarsening floor)
 /// always fall back to SOR.

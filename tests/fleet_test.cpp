@@ -15,10 +15,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/json.hpp"
 #include "serve/daemon.hpp"
 #include "serve/faultinject.hpp"
 #include "serve/fleet.hpp"
 #include "serve/request.hpp"
+#include "stats_schema.hpp"
 #include "tech/library.hpp"
 
 namespace gia {
@@ -410,6 +412,31 @@ TEST(CoordinatorDaemonTest, RoutesMergesAndDegrades) {
   coord.wait();
   w0.kill();
   w1.kill();
+}
+
+TEST(FleetStatsSchemaTest, CoordinatorKeysAreStable) {
+  Worker w;
+  ASSERT_TRUE(w.boot());
+  serve::ServerOptions copts;
+  copts.port = 0;
+  copts.coordinator = true;
+  copts.fleet_workers = {w.address()};
+  serve::Server coord(copts);
+  std::string err;
+  ASSERT_TRUE(coord.start(&err)) << err;
+
+  serve::Client client;
+  ASSERT_TRUE(client.connect(coord.port(), &err)) << err;
+  std::string resp;
+  ASSERT_TRUE(client.roundtrip(flow_line(30), &resp, &err)) << err;
+  ASSERT_TRUE(client.roundtrip("{\"stats\":true}", &resp, &err)) << err;
+  const core::json::Value v = core::json::parse(resp);
+  EXPECT_EQ(stats_schema::key_paths(v.at("stats")),
+            stats_schema::coordinator_paths(stats_schema::worker_paths()));
+
+  coord.request_stop();
+  coord.wait();
+  w.kill();
 }
 
 }  // namespace

@@ -14,12 +14,15 @@
 #include <thread>
 #include <vector>
 
+#include "core/json.hpp"
 #include "core/parallel.hpp"
+#include "core/stagegraph.hpp"
 #include "serve/cache.hpp"
 #include "serve/daemon.hpp"
 #include "serve/faultinject.hpp"
 #include "serve/request.hpp"
 #include "serve/scheduler.hpp"
+#include "stats_schema.hpp"
 #include "tech/library.hpp"
 
 namespace gia {
@@ -433,25 +436,36 @@ TEST(ServeSchedulerTest, CacheHitTicketsCarryRealIdsAndFinishOrder) {
 // one stack frame per link, so cancelling the root of a deep after-chain
 // overflowed the stack. The iterative worklist must absorb a 100k chain.
 TEST(ServeSchedulerTest, DeepDependencyChainCancelsIteratively) {
-  // Pin the single worker: the stall fires once the blocker starts, giving
-  // this thread a deterministic window to build and cancel the chain (the
-  // root additionally depends on the blocker, so it cannot start early).
-  serve::fault::configure("sched_stall=1:8000");
+  constexpr int kDepth = 100000;
+  std::vector<serve::FlowRequest> requests;
+  requests.reserve(kDepth);
+  for (int i = 0; i < kDepth; ++i)
+    requests.push_back(request_for(tech::TechnologyKind::Glass25D, 10 + i));
+
+  // Pin the single worker on the blocker: the stall fires once the blocker
+  // starts and lasts until configure("") ends it, after cancel() has
+  // returned. The root depends on the blocker, so it stays unrunnable for
+  // however long this thread takes to build and cancel the chain.
+  serve::fault::configure("sched_stall=1:600000");
   serve::JobScheduler::Options opts;
   opts.workers = 1;
   serve::JobScheduler sched(opts);
+  // A failed assertion still ends the stall before ~JobScheduler joins the
+  // worker.
+  struct StallRelease {
+    ~StallRelease() { serve::fault::configure(""); }
+  } release;
 
   const auto blocker = sched.submit(request_for(tech::TechnologyKind::Glass25D, 1));
   serve::JobScheduler::SubmitOptions after;
   after.after = {blocker.job_id()};
   const auto root = sched.submit(request_for(tech::TechnologyKind::Glass25D, 2), after);
 
-  constexpr int kDepth = 100000;
   after.after = {root.job_id()};
   std::vector<serve::JobTicket> chain;
   chain.reserve(kDepth);
-  for (int i = 0; i < kDepth; ++i) {
-    chain.push_back(sched.submit(request_for(tech::TechnologyKind::Glass25D, 10 + i), after));
+  for (const serve::FlowRequest& req : requests) {
+    chain.push_back(sched.submit(req, after));
     after.after = {chain.back().job_id()};
   }
 
@@ -517,6 +531,136 @@ TEST(ServeDaemonTest, LoopbackProtocolSmoke) {
   EXPECT_EQ(st.flow_requests, 2u);
   EXPECT_EQ(st.scheduler.executed, 1u);
   EXPECT_GE(st.protocol_errors, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Stats schema: the verb body is a rendering of the Server::stats() snapshot
+
+/// Every numeric leaf of the stats body but uptime_s, in body order, as the
+/// snapshot reports it.
+std::vector<std::pair<std::string, std::uint64_t>> snapshot_leaves(
+    const serve::Server::Stats& s) {
+  std::vector<std::pair<std::string, std::uint64_t>> v = {
+      {"port", static_cast<std::uint64_t>(s.port)},
+      {"connections", s.connections},
+      {"requests", s.requests},
+      {"flow_requests", s.flow_requests},
+      {"protocol_errors", s.protocol_errors},
+      {"timeouts", s.timeouts},
+      {"oversize_rejections", s.oversize_rejections},
+      {"dse.searches", s.dse.searches},
+      {"dse.completed", s.dse.completed},
+      {"dse.cancelled", s.dse.cancelled},
+      {"dse.expired", s.dse.expired},
+      {"dse.rejected", s.dse.rejected},
+      {"dse.active", s.dse.active},
+      {"dse.points_evaluated", s.dse.points_evaluated},
+      {"dse.front_updates", s.dse.front_updates},
+      {"dse.cache_assisted_points", s.dse.cache_assisted_points},
+      {"scheduler.pending", s.scheduler.pending},
+      {"scheduler.submitted", s.scheduler.submitted},
+      {"scheduler.cache_hits", s.scheduler.cache_hits},
+      {"scheduler.coalesced", s.scheduler.coalesced},
+      {"scheduler.executed", s.scheduler.executed},
+      {"scheduler.failed", s.scheduler.failed},
+      {"scheduler.cancelled", s.scheduler.cancelled},
+      {"scheduler.expired", s.scheduler.expired},
+      {"scheduler.stage_hits", s.scheduler.stage_hits},
+      {"scheduler.stage_misses", s.scheduler.stage_misses},
+      {"cache.hits", s.cache.hits},
+      {"cache.disk_hits", s.cache.disk_hits},
+      {"cache.misses", s.cache.misses},
+      {"cache.insertions", s.cache.insertions},
+      {"cache.evictions", s.cache.evictions},
+      {"cache.disk_writes", s.cache.disk_writes},
+      {"cache.disk_errors", s.cache.disk_errors},
+      {"cache.entries", s.cache.entries},
+      {"stage_cache.entries", s.stage_cache.entries},
+      {"stage_cache.capacity", s.stage_cache.capacity},
+      {"stage_cache.hits", s.stage_cache.total_hits()},
+      {"stage_cache.misses", s.stage_cache.total_misses()},
+      {"stage_cache.evictions", s.stage_cache.total_evictions()},
+      {"stage_cache.coalesced", s.stage_cache.total_coalesced()},
+  };
+  for (const auto& si : core::stage::registry()) {
+    const auto& ps = s.stage_cache.stage[static_cast<std::size_t>(core::stage::idx(si.id))];
+    const std::string base = std::string("stage_cache.stages.") + si.name + ".";
+    v.emplace_back(base + "hits", ps.hits);
+    v.emplace_back(base + "misses", ps.misses);
+    v.emplace_back(base + "evictions", ps.evictions);
+    v.emplace_back(base + "coalesced", ps.coalesced);
+  }
+  return v;
+}
+
+void numeric_leaves(const core::json::Value& v, const std::string& prefix,
+                    std::vector<std::pair<std::string, std::uint64_t>>& out) {
+  for (const auto& [k, child] : v.obj) {
+    const std::string path = prefix.empty() ? k : prefix + "." + k;
+    if (child.kind == core::json::Value::Kind::Object) numeric_leaves(child, path, out);
+    if (child.kind == core::json::Value::Kind::Number && path != "uptime_s")
+      out.emplace_back(path, child.as_u64());
+  }
+}
+
+/// A worker with traffic behind it: a miss, a hit, a protocol error.
+struct StatsWorker {
+  serve::Server server{[] {
+    serve::ServerOptions o;
+    o.port = 0;
+    o.scheduler_workers = 1;
+    o.cache_dir = "-";
+    return o;
+  }()};
+  serve::Client client;
+
+  bool start(std::string* err) {
+    if (!server.start(err) || !client.connect(server.port(), err)) return false;
+    std::string resp;
+    const std::string line = "{\"flow_request\":{\"tech\":\"shinko\"},\"result\":false}";
+    return client.roundtrip(line, &resp, err) && client.roundtrip(line, &resp, err) &&
+           client.roundtrip("{\"bogus\":1}", &resp, err);
+  }
+  core::json::Value stats() {
+    std::string resp, err;
+    EXPECT_TRUE(client.roundtrip("{\"stats\":true}", &resp, &err)) << err;
+    const core::json::Value v = core::json::parse(resp);
+    EXPECT_TRUE(v.at("ok").as_bool());
+    return v.at("stats");
+  }
+};
+
+TEST(ServeStatsSchemaTest, WorkerKeysAreStableAndRenderTheSnapshot) {
+  StatsWorker w;
+  std::string err;
+  if (!w.start(&err)) GTEST_SKIP() << "cannot serve on loopback: " << err;
+
+  const core::json::Value body = w.stats();
+  EXPECT_EQ(stats_schema::key_paths(body), stats_schema::worker_paths());
+
+  // Quiesced: the snapshot taken after the verb sees the same counters.
+  const serve::Server::Stats snap = w.server.stats();
+  std::vector<std::pair<std::string, std::uint64_t>> leaves;
+  numeric_leaves(body, std::string(), leaves);
+  EXPECT_EQ(leaves, snapshot_leaves(snap));
+  EXPECT_EQ(body.at("stage_cache").at("enabled").as_bool(), snap.stage_cache.enabled);
+  EXPECT_EQ(snap.flow_requests, 2u);
+  EXPECT_EQ(snap.cache.hits, 1u);
+}
+
+TEST(ServeStatsSchemaTest, ArmedFaultsAddTheFaultsBlock) {
+  StatsWorker w;
+  std::string err;
+  if (!w.start(&err)) GTEST_SKIP() << "cannot serve on loopback: " << err;
+
+  serve::fault::configure("cache_write_eio=1");  // memory-only cache: never fires
+  const core::json::Value body = w.stats();
+  serve::fault::configure("");
+  std::vector<std::string> expected = stats_schema::worker_paths();
+  for (const char* p : {"faults", "faults.cache_write_eio", "faults.cache_write_eio.trials",
+                        "faults.cache_write_eio.injected"})
+    expected.push_back(p);
+  EXPECT_EQ(stats_schema::key_paths(body), expected);
 }
 
 }  // namespace
