@@ -1,5 +1,5 @@
 /// bench_parallel_scaling: wall-clock scaling of the two heaviest parallel
-/// kernels -- SOR thermal steady state and Monte Carlo variation -- and of
+/// kernels -- multigrid thermal steady state and Monte Carlo variation -- and of
 /// a cold full flow (glass25d with eyes and thermal, stage cache off, so
 /// stage scheduling and nested loops on the shared pool are timed) at 1, 2,
 /// and 4 threads. Prints one JSON line per (kernel, thread-count) pair plus
@@ -76,7 +76,7 @@ void run_scaling(const char* kernel, const std::function<std::string()>& fn) {
 }  // namespace
 
 int main() {
-  // --- Thermal steady state (red-black SOR) on the full Glass 2.5D stack.
+  // --- Thermal steady state (multigrid V-cycles) on the full Glass 2.5D stack.
   const auto design = interposer::build_interposer_design(tech::TechnologyKind::Glass25D);
   const auto mesh = thermal::build_thermal_mesh(design);
   run_scaling("thermal_steady_state", [&] {

@@ -1,6 +1,5 @@
 /// bench_solver_scaling: scaling contract of the sparse/iterative solver
-/// core against the dense and fixed-sweep baselines it replaces at
-/// production sizes.
+/// core at production sizes.
 ///
 ///   1. MNA -- k x k resistor-grid PDN proxies (vsource corner feed, per-node
 ///      load to ground) at chiplet-count equivalents, solved for the DC
@@ -8,17 +7,18 @@
 ///      ILU(0)-BiCGSTAB backend (core/solver_backend.hpp forced either
 ///      way). Contract: sparse must be >= 10x faster at the largest size.
 ///
-///   2. Thermal -- the Glass 2.5D design meshed at 48/96/192 lateral cells,
-///      solved steady-state with red-black SOR and with the geometric
-///      multigrid V-cycle solver. Contract: multigrid must be >= 5x faster
-///      on the finest mesh, and the two fields must agree to 0.1 K at the
-///      hottest cell (same discretization, so this guards correctness of
-///      the fast path, not just its speed).
+///   2. Thermal -- the Glass 2.5D design meshed at 47/48/96/97/192 lateral
+///      cells (odd extents included), solved steady-state by the multigrid
+///      V-cycle solver. Contract: every mesh converges in at most 3 more
+///      V-cycles than the default 48x48 mesh -- a deterministic work
+///      counter, so the gate does not depend on the machine; wall times
+///      are reported next to it.
 ///
 /// Emits per-size wall times, speedups and iteration counts in the standard
 /// bench JSON line; exits non-zero when a contract is violated so CI can
 /// gate on it.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -125,56 +125,37 @@ int main(int argc, char** argv) {
               "speedup=" + std::to_string(mna_speedup_largest));
   }
 
-  // --- Thermal: fixed-sweep SOR vs geometric multigrid across mesh sizes.
+  // --- Thermal: multigrid V-cycles across mesh sizes, odd extents included.
   const auto design = interposer::build_interposer_design(tech::TechnologyKind::Glass25D);
-  const std::vector<int> mesh_sizes = {48, 96, 192};
-  double mg_speedup_finest = 0;
-  std::printf("\nThermal steady state, red-black SOR vs multigrid V-cycles\n");
-  std::printf("%10s %10s %12s %12s %9s %8s %8s\n", "mesh", "cells", "sor [s]", "mg [s]",
-              "speedup", "sweeps", "cycles");
+  const std::vector<int> mesh_sizes = {47, 48, 96, 97, 192};
+  int cycles_48 = 0, cycles_max = 0;
+  std::printf("\nThermal steady state, multigrid V-cycles\n");
+  std::printf("%10s %10s %12s %8s\n", "mesh", "cells", "time [s]", "cycles");
   for (int n : mesh_sizes) {
     thermal::MeshOptions mo;
     mo.nx = n;
     mo.ny = n;
     const auto mesh = thermal::build_thermal_mesh(design, mo);
-    const thermal::SolverOptions so;
-
-    auto ts = Clock::now();
-    const auto sor = thermal::solve_steady_state_sor(mesh, so);
-    const double sor_s = seconds_since(ts);
-
     auto tm = Clock::now();
-    const auto mg = thermal::solve_steady_state_multigrid(mesh, so);
+    const auto mg = thermal::solve_steady_state(mesh);
     const double mg_s = seconds_since(tm);
+    if (!mg.converged) rc = fail("the thermal solve must converge", "mesh=" + std::to_string(n));
+    if (n == 48) cycles_48 = mg.iterations;
+    cycles_max = std::max(cycles_max, mg.iterations);
 
-    if (!sor.converged || !mg.converged) {
-      rc = fail("both thermal solvers must converge", "mesh=" + std::to_string(n));
-    }
-    if (std::abs(sor.max_c - mg.max_c) > 0.1) {
-      rc = fail("SOR and multigrid peak temperatures must agree to 0.1 K",
-                "mesh=" + std::to_string(n) + " sor=" + std::to_string(sor.max_c) +
-                    " mg=" + std::to_string(mg.max_c));
-    }
-
-    const double speedup = mg_s > 0 ? sor_s / mg_s : 0;
-    mg_speedup_finest = speedup;
     const long cells = static_cast<long>(n) * n * static_cast<long>(mesh.layers.size());
-    std::printf("%7dx%-3d %10ld %12.4f %12.4f %8.1fx %8d %8d\n", n, n, cells, sor_s, mg_s,
-                speedup, sor.iterations, mg.iterations);
+    std::printf("%7dx%-3d %10ld %12.4f %8d\n", n, n, cells, mg_s, mg.iterations);
     const std::string tag = "\"thermal_" + std::to_string(n);
-    extra += "," + tag + "_sor_s\":" + std::to_string(sor_s);
-    extra += "," + tag + "_mg_s\":" + std::to_string(mg_s);
-    extra += "," + tag + "_speedup\":" + std::to_string(speedup);
-    extra += "," + tag + "_sor_sweeps\":" + std::to_string(sor.iterations);
-    extra += "," + tag + "_mg_cycles\":" + std::to_string(mg.iterations);
+    extra += "," + tag + "_s\":" + std::to_string(mg_s);
+    extra += "," + tag + "_cycles\":" + std::to_string(mg.iterations);
   }
-  if (mg_speedup_finest < 5.0) {
-    rc = fail("multigrid must be >= 5x faster than SOR on the finest mesh",
-              "speedup=" + std::to_string(mg_speedup_finest));
+  if (cycles_max > cycles_48 + 3) {
+    rc = fail("no mesh may need more than 3 V-cycles above the 48x48 count",
+              "cycles_48=" + std::to_string(cycles_48) + " max=" + std::to_string(cycles_max));
   }
 
   extra += ",\"mna_speedup_largest\":" + std::to_string(mna_speedup_largest);
-  extra += ",\"thermal_speedup_finest\":" + std::to_string(mg_speedup_finest);
+  extra += ",\"thermal_cycles_max\":" + std::to_string(cycles_max);
   gia::bench::print_json_line(argv[0], seconds_since(t0), extra);
   core::instrument::emit_report();
   return rc;

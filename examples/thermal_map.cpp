@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   const auto field = thermal::solve_steady_state(mesh);
   const auto rpt = thermal::analyze(design, mesh, field);
 
-  std::printf("Thermal solve: %s (%s, %d iterations)\n", design.technology.name.c_str(),
+  std::printf("Thermal solve: %s (%s, %d V-cycles)\n", design.technology.name.c_str(),
               field.converged ? "converged" : "NOT converged", field.iterations);
   for (const auto& [name, dt] : rpt.dies) {
     std::printf("  %-12s hotspot %.1f C, average %.1f C\n", name.c_str(), dt.hotspot_c,

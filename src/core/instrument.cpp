@@ -21,10 +21,10 @@ namespace {
 constexpr int kNumCounters = static_cast<int>(Counter::kCount);
 
 constexpr const char* kCounterNames[kNumCounters] = {
-    "sor_iterations",  "thermal_transient_steps", "lu_factorizations", "lu_solves",
-    "transient_steps", "ac_points",               "mc_trials",         "prbs_segments",
-    "eye_uis",         "sweep_points",            "flow_runs",         "stage_runs",
-    "krylov_iterations", "mg_vcycles",
+    "thermal_transient_steps", "lu_factorizations", "lu_solves",   "transient_steps",
+    "ac_points",               "mc_trials",         "prbs_segments", "eye_uis",
+    "sweep_points",            "flow_runs",         "stage_runs",    "krylov_iterations",
+    "mg_vcycles",
 };
 
 struct SpanNode {

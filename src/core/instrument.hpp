@@ -45,24 +45,23 @@ void reset();
 /// `StageCacheStats`, `Fleet::Counters`), not here. Fixed enum rather than
 /// open-ended strings so `counter_add` is a branch + one relaxed fetch_add.
 enum class Counter : int {
-  SorIterations = 0,      ///< thermal steady-state SOR iterations to convergence
-  ThermalTransientSteps,  ///< explicit transient thermal time steps
-  LuFactorizations,       ///< dense LU factorisations (real + complex)
-  LuSolves,               ///< dense LU triangular solves
-  TransientSteps,         ///< MNA transient time steps accepted
-  AcPoints,               ///< AC analysis frequency points solved
-  McTrials,               ///< Monte Carlo variation trials
-  PrbsSegments,           ///< PRBS eye-ensemble segments simulated
-  EyeUis,                 ///< unit intervals sampled by the eye fold
-  SweepPoints,            ///< design points evaluated by sweep_1d
-  FlowRuns,               ///< full co-design flow invocations
-  StageRuns,              ///< flow stage bodies executed (stage-cache misses run)
-  KrylovIterations,       ///< CG/BiCGSTAB iterations across all sparse solves
-  MgVcycles,              ///< thermal geometric-multigrid V-cycles
+  ThermalTransientSteps = 0,  ///< explicit transient thermal time steps
+  LuFactorizations,           ///< dense LU factorisations (real + complex)
+  LuSolves,                   ///< dense LU triangular solves
+  TransientSteps,             ///< MNA transient time steps accepted
+  AcPoints,                   ///< AC analysis frequency points solved
+  McTrials,                   ///< Monte Carlo variation trials
+  PrbsSegments,               ///< PRBS eye-ensemble segments simulated
+  EyeUis,                     ///< unit intervals sampled by the eye fold
+  SweepPoints,                ///< design points evaluated by sweep_1d
+  FlowRuns,                   ///< full co-design flow invocations
+  StageRuns,                  ///< flow stage bodies executed (stage-cache misses run)
+  KrylovIterations,           ///< CG/BiCGSTAB iterations across all sparse solves
+  MgVcycles,                  ///< thermal steady-state multigrid V-cycles
   kCount
 };
 
-/// Stable snake_case name used in reports ("sor_iterations", ...).
+/// Stable snake_case name used in reports ("mg_vcycles", ...).
 const char* counter_name(Counter c) noexcept;
 
 void counter_add(Counter c, std::uint64_t n = 1) noexcept;

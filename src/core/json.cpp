@@ -146,10 +146,18 @@ class Parser {
           case 'b': out.push_back('\b'); break;
           case 'f': out.push_back('\f'); break;
           case 'u': {
-            if (pos_ + 4 > s_.size()) fail("bad \\u escape");
-            const std::string hex = s_.substr(pos_, 4);
-            pos_ += 4;
-            out.push_back(static_cast<char>(std::strtoul(hex.c_str(), nullptr, 16)));
+            // UTF-16 code unit(s) to UTF-8: a high surrogate must be followed
+            // by an escaped low surrogate; lone surrogates are rejected.
+            std::uint32_t cp = hex4();
+            if (cp >= 0xDC00 && cp <= 0xDFFF) fail("bad \\u escape");
+            if (cp >= 0xD800 && cp <= 0xDBFF) {
+              if (s_.compare(pos_, 2, "\\u") != 0) fail("bad \\u escape");
+              pos_ += 2;
+              const std::uint32_t lo = hex4();
+              if (lo < 0xDC00 || lo > 0xDFFF) fail("bad \\u escape");
+              cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+            }
+            append_utf8(cp, out);
             break;
           }
           default: fail("bad escape");
@@ -159,6 +167,36 @@ class Parser {
       }
     }
     fail("unterminated string");
+  }
+
+  /// The four hex digits of a \uXXXX escape.
+  std::uint32_t hex4() {
+    if (pos_ + 4 > s_.size()) fail("bad \\u escape");
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      const auto c = static_cast<unsigned char>(s_[pos_++]);
+      if (!std::isxdigit(c)) fail("bad \\u escape");
+      v = v * 16 + static_cast<std::uint32_t>(std::isdigit(c) ? c - '0' : std::tolower(c) - 'a' + 10);
+    }
+    return v;
+  }
+
+  static void append_utf8(std::uint32_t cp, std::string& out) {
+    if (cp < 0x80) {
+      out.push_back(static_cast<char>(cp));
+    } else if (cp < 0x800) {
+      out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else if (cp < 0x10000) {
+      out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else {
+      out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    }
   }
 
   Value boolean() {

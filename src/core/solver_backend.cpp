@@ -25,16 +25,4 @@ bool use_sparse_mna(int unknowns) noexcept {
   return unknowns >= kSparseAutoUnknowns;
 }
 
-bool use_multigrid(int nx, int ny) noexcept {
-  // Cell-centered 2x coarsening needs even extents; odd meshes stay on SOR
-  // whatever the backend says.
-  if (nx % 2 != 0 || ny % 2 != 0) return false;
-  switch (solver_backend()) {
-    case SolverBackend::Dense: return false;
-    case SolverBackend::Sparse: return true;
-    case SolverBackend::Auto: break;
-  }
-  return nx >= kMultigridAutoExtent && ny >= kMultigridAutoExtent;
-}
-
 }  // namespace gia::core

@@ -576,8 +576,8 @@ ArtifactPtr run_stage(const Ctx& c, StageId id) {
           mo.logic_power_w *= o.system.power_scale;
           mo.memory_power_w *= o.system.power_scale * o.system.memory_power_scale;
           const int f = system_mesh_factor(o.system.chiplets);
-          mo.nx = std::min(192, mo.nx * f);
-          mo.ny = std::min(192, mo.ny * f);
+          mo.nx = std::min(thermal::kMaxMeshExtent, mo.nx * f);
+          mo.ny = std::min(thermal::kMaxMeshExtent, mo.ny * f);
           a->report = thermal::run_thermal(ip.design, mo);
         } else {
           a->report = thermal::run_thermal(ip.design, o.thermal_mesh);
@@ -719,6 +719,12 @@ TechnologyResult execute_flow(tech::TechnologyKind kind, const FlowOptions& opts
     throw std::invalid_argument("use run_monolithic_reference for the 2D reference");
   }
   chiplet::validate_system(opts.system);
+  for (const int n : {opts.thermal_mesh.nx, opts.thermal_mesh.ny}) {
+    if (n < 1 || n > thermal::kMaxMeshExtent) {
+      throw std::invalid_argument("thermal_mesh.nx and thermal_mesh.ny must be in [1, " +
+                                  std::to_string(thermal::kMaxMeshExtent) + "]");
+    }
+  }
   if (!opts.system.is_legacy()) {
     const tech::Technology t = tech::make_technology(kind);
     if (t.integration != tech::IntegrationStyle::SideBySide &&

@@ -44,8 +44,6 @@ struct ResultCache::Impl {
     const std::uint64_t mixed = key ^ (key >> 29);
     return *shards[mixed % shards.size()];
   }
-
-  std::string path_of(std::uint64_t key) const { return dir + "/" + key_hex(key) + ".json"; }
 };
 
 ResultCache::ResultCache() : ResultCache(Config()) {}
@@ -90,7 +88,7 @@ ResultCache::ResultPtr ResultCache::get(std::uint64_t key) {
   }
 
   if (!impl_->dir.empty()) {
-    std::ifstream in(impl_->path_of(key), std::ios::binary);
+    std::ifstream in(disk_path(key), std::ios::binary);
     if (in) {
       std::ostringstream buf;
       buf << in.rdbuf();
@@ -107,10 +105,10 @@ ResultCache::ResultPtr ResultCache::get(std::uint64_t key) {
         // Corrupt disk entries degrade to a miss (the flow re-runs and
         // overwrites the entry); they never fail the request.
         std::fprintf(stderr, "serve cache: discarding corrupt entry %s (%s)\n",
-                     impl_->path_of(key).c_str(), e.what());
+                     disk_path(key).c_str(), e.what());
         impl_->disk_errors.fetch_add(1, std::memory_order_relaxed);
         std::error_code ec;
-        fs::remove(impl_->path_of(key), ec);
+        fs::remove(disk_path(key), ec);
       }
     }
   }
@@ -145,7 +143,7 @@ void ResultCache::insert(std::uint64_t key, ResultPtr result, bool write_disk) {
     // the memory entry authoritative and removes the tmp file -- the disk
     // store degrades, the request is never affected.
     static std::atomic<std::uint64_t> tmp_counter{0};
-    const std::string path = impl_->path_of(key);
+    const std::string path = disk_path(key);
     const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
                             std::to_string(tmp_counter.fetch_add(1, std::memory_order_relaxed));
     if (const int fault_errno = fault::cache_write_error()) {
@@ -225,5 +223,9 @@ void to_json(const ResultCache::Stats& s, std::string& out) {
 
 bool ResultCache::disk_enabled() const { return !impl_->dir.empty(); }
 const std::string& ResultCache::disk_dir() const { return impl_->dir; }
+
+std::string ResultCache::disk_path(std::uint64_t key) const {
+  return impl_->dir + "/m" + std::to_string(kModelEpoch) + "-" + key_hex(key) + ".json";
+}
 
 }  // namespace gia::serve

@@ -17,11 +17,19 @@
 ///
 /// Disk store: when constructed with a directory (or, by default, the
 /// `GIA_CACHE_DIR` environment variable is set), every insert also writes
-/// `<dir>/<16-hex-key>.json` (atomic tmp+rename), and a memory miss falls
-/// back to parsing that file -- so a restarted daemon serves its persisted
-/// history as disk hits. Disk entries are not LRU-bounded.
+/// `<dir>/m<kModelEpoch>-<16-hex-key>.json` (atomic tmp+rename), and a
+/// memory miss falls back to parsing that file -- so a restarted daemon
+/// serves its persisted history as disk hits. Disk entries are not
+/// LRU-bounded.
 
 namespace gia::serve {
+
+/// Version of the model code behind cached results. Request keys cover the
+/// inputs, not the code, so a change that alters result bytes for the same
+/// request bumps this: disk entries written by an older build then miss
+/// instead of being served. Unprefixed file names were epoch 0.
+///  1: thermal steady state solved by multigrid on every mesh.
+inline constexpr int kModelEpoch = 1;
 
 class ResultCache {
  public:
@@ -69,6 +77,8 @@ class ResultCache {
   Stats stats() const;
   bool disk_enabled() const;
   const std::string& disk_dir() const;
+  /// The disk-store file of `key` (meaningful only when disk_enabled()).
+  std::string disk_path(std::uint64_t key) const;
 
  private:
   void insert(std::uint64_t key, ResultPtr result, bool write_disk);

@@ -143,7 +143,7 @@ void put_front(std::string& out, const std::vector<core::DesignPoint>& front) {
 void to_json(const Server::Stats& s, const std::string& fleet_view, std::string& out) {
   json::open(out);
   json::put_i(out, "port", s.port);
-  if (s.fleet.enabled) json::put_b(out, "coordinator", true);
+  if (s.fleet) json::put_b(out, "coordinator", true);
   json::put_u(out, "connections", s.connections);
   json::put_u(out, "requests", s.requests);
   json::put_u(out, "flow_requests", s.flow_requests);
@@ -151,7 +151,7 @@ void to_json(const Server::Stats& s, const std::string& fleet_view, std::string&
   json::put_u(out, "timeouts", s.timeouts);
   json::put_u(out, "oversize_rejections", s.oversize_rejections);
   json::put_d(out, "uptime_s", s.uptime_s);
-  if (s.fleet.enabled) {
+  if (s.fleet) {
     json::put_raw(out, "fleet", fleet_view);
   } else {
     json::open(out, "dse");
@@ -775,21 +775,7 @@ struct Server::Impl {
     if (scheduler) s.scheduler = scheduler->counters();
     if (cache) s.cache = cache->stats();
     s.stage_cache = core::stage::stage_cache_stats();
-    if (fleet) {
-      const auto fc = fleet->counters();
-      s.fleet.enabled = true;
-      s.fleet.forwarded = fc.forwarded;
-      s.fleet.answered = fc.answered;
-      s.fleet.hedges = fc.hedges;
-      s.fleet.hedge_wins = fc.hedge_wins;
-      s.fleet.failovers = fc.failovers;
-      s.fleet.shed = fc.shed;
-      s.fleet.worker_failures = fc.worker_failures;
-      for (const auto& w : fleet->workers()) {
-        ++s.fleet.workers_total;
-        if (w.up) ++s.fleet.workers_up;
-      }
-    }
+    if (fleet) s.fleet = fleet->counters();
     s.uptime_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time)
                      .count();
     return s;
@@ -996,15 +982,15 @@ int run_daemon(const ServerOptions& opts) {
   g_sig_pipe[0] = g_sig_pipe[1] = -1;
 
   const Server::Stats st = server.stats();
-  if (st.fleet.enabled) {
+  if (st.fleet) {
     std::printf(
         "giad: drained cleanly after %llu requests (%llu forwarded, %llu hedges, "
         "%llu failovers, %llu shed)\n",
         static_cast<unsigned long long>(st.requests),
-        static_cast<unsigned long long>(st.fleet.forwarded),
-        static_cast<unsigned long long>(st.fleet.hedges),
-        static_cast<unsigned long long>(st.fleet.failovers),
-        static_cast<unsigned long long>(st.fleet.shed));
+        static_cast<unsigned long long>(st.fleet->forwarded),
+        static_cast<unsigned long long>(st.fleet->hedges),
+        static_cast<unsigned long long>(st.fleet->failovers),
+        static_cast<unsigned long long>(st.fleet->shed));
   } else {
     std::printf(
         "giad: drained cleanly after %llu requests (%llu flow, %llu hits, %llu coalesced, "

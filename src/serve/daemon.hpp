@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,6 +108,18 @@ struct ServerOptions {
   int fleet_io_timeout_ms = 120000;
 };
 
+/// A coordinator's forwarding counters (`Fleet::Counters`, serve/fleet.hpp;
+/// declared here so `Server::Stats` can carry them).
+struct FleetCounters {
+  std::uint64_t forwarded = 0;        ///< forward() calls
+  std::uint64_t answered = 0;         ///< answered by some replica
+  std::uint64_t hedges = 0;           ///< hedge-timer re-issues
+  std::uint64_t hedge_wins = 0;       ///< answers that came from a hedge
+  std::uint64_t failovers = 0;        ///< failure-promoted re-issues
+  std::uint64_t shed = 0;             ///< structured "overloaded" answers
+  std::uint64_t worker_failures = 0;  ///< individual failed attempts
+};
+
 class Server {
  public:
   explicit Server(const ServerOptions& opts = ServerOptions());
@@ -162,20 +175,8 @@ class Server {
     /// hit/miss/eviction counters proving which upstream artifacts the
     /// daemon's traffic reuses across requests.
     core::stage::StageCacheStats stage_cache;
-    /// Coordinator-mode fleet counters (all zero on a worker).
-    struct FleetView {
-      bool enabled = false;  ///< true iff running as a coordinator
-      std::uint64_t forwarded = 0;
-      std::uint64_t answered = 0;
-      std::uint64_t hedges = 0;
-      std::uint64_t hedge_wins = 0;
-      std::uint64_t failovers = 0;
-      std::uint64_t shed = 0;
-      std::uint64_t worker_failures = 0;
-      std::uint64_t workers_total = 0;
-      std::uint64_t workers_up = 0;  ///< not in backoff quarantine
-    };
-    FleetView fleet;
+    /// Fleet counters; engaged iff the server runs as a coordinator.
+    std::optional<FleetCounters> fleet;
     double uptime_s = 0;
   };
   Stats stats() const;

@@ -134,15 +134,7 @@ class Fleet {
   /// failure -- degradation is data, not control flow.
   ForwardResult forward(std::uint64_t key, const std::string& line);
 
-  struct Counters {
-    std::uint64_t forwarded = 0;        ///< forward() calls
-    std::uint64_t answered = 0;         ///< answered by some replica
-    std::uint64_t hedges = 0;           ///< hedge-timer re-issues
-    std::uint64_t hedge_wins = 0;       ///< answers that came from a hedge
-    std::uint64_t failovers = 0;        ///< failure-promoted re-issues
-    std::uint64_t shed = 0;             ///< structured "overloaded" answers
-    std::uint64_t worker_failures = 0;  ///< individual failed attempts
-  };
+  using Counters = FleetCounters;
   Counters counters() const;
 
   struct WorkerInfo {

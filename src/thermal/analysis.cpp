@@ -80,9 +80,9 @@ ThermalReport analyze(const interposer::InterposerDesign& design, const ThermalM
 }
 
 ThermalReport run_thermal(const interposer::InterposerDesign& design,
-                          const MeshOptions& mesh_opts, const SolverOptions& solver_opts) {
+                          const MeshOptions& mesh_opts) {
   const auto mesh = build_thermal_mesh(design, mesh_opts);
-  const auto field = solve_steady_state(mesh, solver_opts);
+  const auto field = solve_steady_state(mesh);
   return analyze(design, mesh, field);
 }
 

@@ -37,7 +37,6 @@ ThermalReport analyze(const interposer::InterposerDesign& design, const ThermalM
 
 /// Convenience: mesh + solve + analyze.
 ThermalReport run_thermal(const interposer::InterposerDesign& design,
-                          const MeshOptions& mesh_opts = {},
-                          const SolverOptions& solver_opts = {});
+                          const MeshOptions& mesh_opts = {});
 
 }  // namespace gia::thermal

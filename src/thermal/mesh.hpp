@@ -45,8 +45,12 @@ struct ThermalMesh {
   int cell_y(double y_um) const;
 };
 
+/// Largest lateral mesh extent a flow accepts (and the cap on the
+/// N-chiplet flow's mesh scaling).
+inline constexpr int kMaxMeshExtent = 192;
+
 struct MeshOptions {
-  int nx = 48;
+  int nx = 48;  ///< lateral cells, [1, kMaxMeshExtent] in a flow
   int ny = 48;
   /// Power of a die landing in the mesh; indexed by (side, tile).
   double logic_power_w = 0.142;

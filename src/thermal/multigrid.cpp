@@ -1,44 +1,46 @@
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "circuit/dense_lu.hpp"
-#include "circuit/sparse.hpp"
 #include "core/instrument.hpp"
 #include "core/parallel.hpp"
 #include "thermal/solver.hpp"
 
 /// \file multigrid.cpp
-/// Geometric multigrid for the steady-state conduction problem. The solve
-/// runs in excess temperature theta = T - ambient, which makes every
-/// convective film a homogeneous boundary (the film conductance lands on
-/// the diagonal, the ambient source term vanishes) -- exactly what the
-/// coarse-grid error equation A e = r needs, since errors have no ambient
-/// offset.
+/// Geometric multigrid for the steady-state conduction problem -- the only
+/// steady-state solver. The solve runs in excess temperature
+/// theta = T - ambient, which makes every convective film a homogeneous
+/// boundary (the film conductance lands on the diagonal, the ambient source
+/// term vanishes) -- exactly what the coarse-grid error equation A e = r
+/// needs, since errors have no ambient offset.
 ///
-/// Coarsening is lateral only (2x2 cell agglomeration per z-layer): the
-/// z-stack is a handful of strongly-coupled thin layers, the textbook
+/// Coarsening is lateral only (up to 2x2 cell agglomeration per z-layer):
+/// the z-stack is a handful of strongly-coupled thin layers, the textbook
 /// semi-coarsening configuration -- keep the strong direction fine, coarsen
 /// the weak ones, and smooth with z-lines (each vertical column solved
 /// exactly by the Thomas algorithm, red-black over the lateral parity).
+/// Each lateral axis longer than kMinExtent coarsens to ceil(n/2) cells; an
+/// odd extent leaves a one-wide last aggregate, so every mesh from 1x1 up
+/// coarsens down to a dense coarsest level of at most kMinExtent^2 columns.
 /// Coarse operators are built from the fine CONDUCTANCES, not from averaged
 /// conductivities: a coarse lateral link is the parallel sum, over the fine
-/// rows crossing the coarse interface, of the series path
-/// half-internal-link / crossing-link / half-internal-link, and coarse
-/// z-links and boundary-film conductances are plain sums over the 2x2
-/// aggregate. This resistor-network renormalization is what keeps the
-/// V-cycle rate mesh-independent here: the stack mixes copper, silicon and
-/// glass with ~100x conductivity contrast, and a rediscretized operator on
-/// arithmetically averaged k overestimates lateral coupling across material
-/// interfaces so badly that the coarse-grid correction stalls (measured
-/// ~0.8/cycle at 96x96 vs ~0.2 with conductance coarsening).
-/// Restriction sums the four fine residuals into their coarse parent (full
-/// weighting in the finite-volume sense: watts add), and prolongation is
-/// cell-centered bilinear with clamped edges. Smoother columns of one color
-/// only read frozen opposite-color neighbors, so every level is parallel
-/// over mesh rows with byte-identical results at any thread count.
+/// rows crossing the coarse interface, of the crossing link scaled to the
+/// coarse centre distance, and coarse z-links and boundary-film
+/// conductances are plain sums over the aggregate. This resistor-network
+/// renormalization is what keeps the V-cycle rate mesh-independent here:
+/// the stack mixes copper, silicon and glass with ~100x conductivity
+/// contrast, and a rediscretized operator on arithmetically averaged k
+/// overestimates lateral coupling across material interfaces so badly that
+/// the coarse-grid correction stalls (measured ~0.8/cycle at 96x96 vs ~0.2
+/// with conductance coarsening).
+/// Restriction sums the fine residuals of an aggregate into their coarse
+/// parent (full weighting in the finite-volume sense: watts add), and
+/// prolongation is cell-centered bilinear with clamped edges. Smoother
+/// columns of one color only read frozen opposite-color neighbors, so every
+/// level is parallel over mesh rows with byte-identical results at any
+/// thread count.
 
 namespace gia::thermal {
 
@@ -46,32 +48,42 @@ namespace instrument = core::instrument;
 
 namespace {
 
+/// Converged when a whole V-cycle moves no cell by more than this [K].
+constexpr double kTolK = 5e-5;
+/// Non-convergence cap; a healthy solve takes 6-15 cycles at any mesh size.
+constexpr int kMaxVcycles = 150;
+/// Red-black z-line sweeps before the coarse correction and after it.
+constexpr int kPreSmooth = 2;
+constexpr int kPostSmooth = 2;
+/// A lateral axis stops coarsening at this extent. The coarsest level is
+/// solved exactly (dense LU, factored once) -- essential because the weak
+/// convective films leave a near-singular global mode that smoothing alone
+/// cannot resolve -- so the floor keeps that factorization tiny.
+constexpr int kMinExtent = 2;
+
 /// Series conductance [W/K] between two voxel centers through half-cells of
 /// conductivity ka, kb with face area `area` and center distances da, db
-/// (all SI). Mirrors solver.cpp so both discretizations agree exactly.
+/// (all SI). Mirrors solver.cpp so steady and transient share one
+/// discretization.
 double series_g(double ka, double kb, double area, double da, double db) {
   const double ra = da / (ka * area);
   const double rb = db / (kb * area);
   return 1.0 / (ra + rb);
 }
 
-/// One multigrid level: geometry, per-cell conductivity, the assembled
-/// 7-point operator (link conductances + diagonal incl. films), and the
-/// solve vectors. Cells index as (z * ny + y) * nx + x.
+/// One multigrid level: the assembled 7-point operator (link conductances
+/// + diagonal incl. films) and the solve vectors. Cells index as
+/// (z * ny + y) * nx + x, so one z-plane has the layout of a
+/// geometry::Grid.
 struct Level {
   int nx = 0, ny = 0, nz = 0;
-  double w = 0, h = 0;          ///< lateral cell sizes [m] (fine level only)
-  std::vector<double> dz;       ///< per-layer thickness [m]
-  std::vector<double> k;        ///< conductivity per cell (fine level only)
-  std::vector<double> gx;       ///< link (x,y,z)-(x+1,y,z); valid for x < nx-1
-  std::vector<double> gy;       ///< link to y+1; valid for y < ny-1
-  std::vector<double> gz;       ///< link to z+1; valid for z < nz-1
-  std::vector<double> film;     ///< boundary film conductance per cell
-  std::vector<double> diag;     ///< sum of links + boundary films
-  std::vector<double> rhs;      ///< power [W] (fine) / restricted residual
-  std::vector<double> u;        ///< theta [K]
-  std::vector<double> res;      ///< residual scratch
-  std::vector<double> row_scratch;  ///< per-(z,y)-row reduction slots
+  std::vector<double> gx;    ///< link (x,y,z)-(x+1,y,z); valid for x < nx-1
+  std::vector<double> gy;    ///< link to y+1; valid for y < ny-1
+  std::vector<double> gz;    ///< link to z+1; valid for z < nz-1
+  std::vector<double> film;  ///< boundary film conductance per cell (read once, to coarsen)
+  std::vector<double> diag;  ///< sum of links + boundary films
+  std::vector<double> rhs;   ///< power [W] (fine) / restricted residual
+  std::vector<double> u;     ///< theta [K]
 
   std::size_t idx(int x, int y, int z) const {
     return (static_cast<std::size_t>(z) * ny + y) * nx + x;
@@ -79,7 +91,30 @@ struct Level {
   std::size_t cells() const {
     return static_cast<std::size_t>(nx) * ny * nz;
   }
+  /// rhs - A u at one cell.
+  double residual_at(int x, int y, int z) const {
+    const std::size_t i = idx(x, y, z);
+    const std::size_t row = static_cast<std::size_t>(nx);
+    const std::size_t plane = row * ny;
+    double acc = diag[i] * u[i];
+    if (x + 1 < nx) acc -= gx[i] * u[i + 1];
+    if (x > 0) acc -= gx[i - 1] * u[i - 1];
+    if (y + 1 < ny) acc -= gy[i] * u[i + row];
+    if (y > 0) acc -= gy[i - row] * u[i - row];
+    if (z + 1 < nz) acc -= gz[i] * u[i + plane];
+    if (z > 0) acc -= gz[i - plane] * u[i - plane];
+    return rhs[i] - acc;
+  }
 };
+
+/// Coarsening ratio along one lateral axis between a level of `fine_n`
+/// cells and the next coarser one of `coarse_n`: 2, or 1 once the axis has
+/// reached kMinExtent.
+int ratio(int fine_n, int coarse_n) { return coarse_n < fine_n ? 2 : 1; }
+
+/// Fine cells in coarse aggregate `i` along one axis: the ratio, or one for
+/// the ragged last aggregate of an odd extent.
+int width(int i, int r, int fine_n) { return std::min(r, fine_n - r * i); }
 
 void alloc_solve_arrays(Level& L) {
   const std::size_t n = L.cells();
@@ -88,9 +123,8 @@ void alloc_solve_arrays(Level& L) {
   L.gz.assign(n, 0.0);
   L.film.assign(n, 0.0);
   L.diag.assign(n, 0.0);
+  L.rhs.assign(n, 0.0);
   L.u.assign(n, 0.0);
-  L.res.assign(n, 0.0);
-  L.row_scratch.assign(static_cast<std::size_t>(L.nz) * L.ny, 0.0);
 }
 
 /// diag = sum of incident link conductances + the cell's boundary films.
@@ -113,44 +147,41 @@ void build_diag(Level& L) {
   }
 }
 
-/// Assemble the finest-level operator from the mesh geometry and per-cell
-/// conductivities.
+/// Assemble the finest-level operator straight from the mesh geometry and
+/// per-cell conductivities; the power map becomes the right-hand side.
 void assemble_fine(Level& L, const ThermalMesh& mesh) {
   alloc_solve_arrays(L);
+  const double w = mesh.cell_w_um * 1e-6;
+  const double h = mesh.cell_h_um * 1e-6;
+  auto dz = [&mesh](int z) { return mesh.layers[static_cast<std::size_t>(z)].thickness_um * 1e-6; };
+  auto k_at = [&mesh](int z, int x, int y) {
+    return mesh.layers[static_cast<std::size_t>(z)].k.at(x, y);
+  };
   for (int z = 0; z < L.nz; ++z) {
-    const double a_x = L.h * L.dz[static_cast<std::size_t>(z)];
-    const double a_y = L.w * L.dz[static_cast<std::size_t>(z)];
-    const double a_z = L.w * L.h;
+    const double a_x = h * dz(z);
+    const double a_y = w * dz(z);
+    const double a_z = w * h;
+    const auto& power = mesh.layers[static_cast<std::size_t>(z)].power.data();
+    std::copy(power.begin(), power.end(), L.rhs.begin() + static_cast<std::ptrdiff_t>(L.idx(0, 0, z)));
     for (int y = 0; y < L.ny; ++y) {
       for (int x = 0; x < L.nx; ++x) {
         const std::size_t i = L.idx(x, y, z);
-        const double k_c = L.k[i];
-        if (x + 1 < L.nx) {
-          L.gx[i] = series_g(k_c, L.k[L.idx(x + 1, y, z)], a_x, L.w / 2, L.w / 2);
-        }
-        if (y + 1 < L.ny) {
-          L.gy[i] = series_g(k_c, L.k[L.idx(x, y + 1, z)], a_y, L.h / 2, L.h / 2);
-        }
+        const double k_c = k_at(z, x, y);
+        if (x + 1 < L.nx) L.gx[i] = series_g(k_c, k_at(z, x + 1, y), a_x, w / 2, w / 2);
+        if (y + 1 < L.ny) L.gy[i] = series_g(k_c, k_at(z, x, y + 1), a_y, h / 2, h / 2);
         if (z + 1 < L.nz) {
-          L.gz[i] = series_g(k_c, L.k[L.idx(x, y, z + 1)], a_z,
-                             L.dz[static_cast<std::size_t>(z)] / 2,
-                             L.dz[static_cast<std::size_t>(z + 1)] / 2);
+          L.gz[i] = series_g(k_c, k_at(z + 1, x, y), a_z, dz(z) / 2, dz(z + 1) / 2);
         }
         // Boundary films: side convection at the lateral rim, top/bottom
         // films on the outer layers (half-cell conduction in series with
-        // the film), exactly as the SOR stencil.
+        // the film).
         double f = 0.0;
-        if (x == 0) f += 1.0 / (L.w / 2 / (k_c * a_x) + 1.0 / (mesh.h_side * a_x));
-        if (x + 1 == L.nx) f += 1.0 / (L.w / 2 / (k_c * a_x) + 1.0 / (mesh.h_side * a_x));
-        if (y == 0) f += 1.0 / (L.h / 2 / (k_c * a_y) + 1.0 / (mesh.h_side * a_y));
-        if (y + 1 == L.ny) f += 1.0 / (L.h / 2 / (k_c * a_y) + 1.0 / (mesh.h_side * a_y));
-        if (z + 1 == L.nz) {
-          f += 1.0 / (L.dz[static_cast<std::size_t>(z)] / 2 / (k_c * a_z) +
-                      1.0 / (mesh.h_top * a_z));
-        }
-        if (z == 0) {
-          f += 1.0 / (L.dz[0] / 2 / (k_c * a_z) + 1.0 / (mesh.h_bottom * a_z));
-        }
+        if (x == 0) f += 1.0 / (w / 2 / (k_c * a_x) + 1.0 / (mesh.h_side * a_x));
+        if (x + 1 == L.nx) f += 1.0 / (w / 2 / (k_c * a_x) + 1.0 / (mesh.h_side * a_x));
+        if (y == 0) f += 1.0 / (h / 2 / (k_c * a_y) + 1.0 / (mesh.h_side * a_y));
+        if (y + 1 == L.ny) f += 1.0 / (h / 2 / (k_c * a_y) + 1.0 / (mesh.h_side * a_y));
+        if (z + 1 == L.nz) f += 1.0 / (dz(z) / 2 / (k_c * a_z) + 1.0 / (mesh.h_top * a_z));
+        if (z == 0) f += 1.0 / (dz(0) / 2 / (k_c * a_z) + 1.0 / (mesh.h_bottom * a_z));
         L.film[i] = f;
       }
     }
@@ -162,34 +193,44 @@ void assemble_fine(Level& L, const ThermalMesh& mesh) {
 /// a series/parallel reduction of fine conductances, so material interfaces
 /// keep their fine-grid bottlenecks (harmonic behaviour) no matter where
 /// they land relative to the coarse grid.
-///  * lateral link: half the sum of the fine links crossing the coarse
-///    interface -- the crossing links already hold the harmonic (series)
-///    combination of the two material half-cells at the interface, and the
-///    1/2 accounts for the doubled centre distance. For uniform k this is
-///    exactly the rediscretized value; for jumps it errs on the stiff side
-///    (it drops the aggregate-internal resistance), which UNDERcorrects --
-///    the stable direction. Adding that internal resistance in series was
-///    tried and over-softens the coarse operator enough that the
-///    correction overshoots and the cycle diverges.
-///  * z link and boundary film: the four fine values add (areas add).
+///  * lateral link: the sum of the fine links crossing the coarse
+///    interface, times fine over coarse centre distance (1/2 between two
+///    full 2-wide aggregates, 2/3 next to a ragged 1-wide one, 1 along an
+///    axis that no longer coarsens) -- the crossing links already hold the
+///    harmonic (series) combination of the two material half-cells at the
+///    interface. For uniform k this is exactly the rediscretized value; for
+///    jumps it errs on the stiff side (it drops the aggregate-internal
+///    resistance), which UNDERcorrects -- the stable direction. Adding that
+///    internal resistance in series was tried and over-softens the coarse
+///    operator enough that the correction overshoots and the cycle
+///    diverges.
+///  * z link and boundary film: the fine values of the aggregate add
+///    (areas add).
 void coarsen_operator(const Level& f, Level& c) {
   alloc_solve_arrays(c);
+  const int rx = ratio(f.nx, c.nx), ry = ratio(f.ny, c.ny);
   for (int z = 0; z < c.nz; ++z) {
     for (int y = 0; y < c.ny; ++y) {
+      const int y0 = ry * y, y1 = y0 + width(y, ry, f.ny);
       for (int x = 0; x < c.nx; ++x) {
+        const int x0 = rx * x, x1 = x0 + width(x, rx, f.nx);
         const std::size_t i = c.idx(x, y, z);
+        for (int fy = y0; fy < y1; ++fy) {
+          for (int fx = x0; fx < x1; ++fx) {
+            c.gz[i] += f.gz[f.idx(fx, fy, z)];
+            c.film[i] += f.film[f.idx(fx, fy, z)];
+          }
+        }
         if (x + 1 < c.nx) {
-          c.gx[i] = 0.5 * (f.gx[f.idx(2 * x + 1, 2 * y, z)] + f.gx[f.idx(2 * x + 1, 2 * y + 1, z)]);
+          double g = 0;
+          for (int fy = y0; fy < y1; ++fy) g += f.gx[f.idx(x1 - 1, fy, z)];
+          c.gx[i] = g * 2.0 / (x1 - x0 + width(x + 1, rx, f.nx));
         }
         if (y + 1 < c.ny) {
-          c.gy[i] = 0.5 * (f.gy[f.idx(2 * x, 2 * y + 1, z)] + f.gy[f.idx(2 * x + 1, 2 * y + 1, z)]);
+          double g = 0;
+          for (int fx = x0; fx < x1; ++fx) g += f.gy[f.idx(fx, y1 - 1, z)];
+          c.gy[i] = g * 2.0 / (y1 - y0 + width(y + 1, ry, f.ny));
         }
-        if (z + 1 < c.nz) {
-          c.gz[i] = f.gz[f.idx(2 * x, 2 * y, z)] + f.gz[f.idx(2 * x + 1, 2 * y, z)] +
-                    f.gz[f.idx(2 * x, 2 * y + 1, z)] + f.gz[f.idx(2 * x + 1, 2 * y + 1, z)];
-        }
-        c.film[i] = f.film[f.idx(2 * x, 2 * y, z)] + f.film[f.idx(2 * x + 1, 2 * y, z)] +
-                    f.film[f.idx(2 * x, 2 * y + 1, z)] + f.film[f.idx(2 * x + 1, 2 * y + 1, z)];
       }
     }
   }
@@ -247,58 +288,55 @@ void smooth(Level& L) {
   }
 }
 
-/// res = rhs - A u.
-void residual(Level& L) {
-  const std::size_t n_rows = static_cast<std::size_t>(L.nz) * L.ny;
-  core::parallel_for(n_rows, [&L](std::size_t r) {
-    const int z = static_cast<int>(r) / L.ny;
-    const int y = static_cast<int>(r) % L.ny;
-    const std::size_t plane = static_cast<std::size_t>(L.nx) * L.ny;
-    for (int x = 0; x < L.nx; ++x) {
-      const std::size_t i = L.idx(x, y, z);
-      double acc = L.diag[i] * L.u[i];
-      if (x + 1 < L.nx) acc -= L.gx[i] * L.u[i + 1];
-      if (x > 0) acc -= L.gx[i - 1] * L.u[i - 1];
-      if (y + 1 < L.ny) acc -= L.gy[i] * L.u[i + static_cast<std::size_t>(L.nx)];
-      if (y > 0) acc -= L.gy[i - static_cast<std::size_t>(L.nx)] * L.u[i - static_cast<std::size_t>(L.nx)];
-      if (z + 1 < L.nz) acc -= L.gz[i] * L.u[i + plane];
-      if (z > 0) acc -= L.gz[i - plane] * L.u[i - plane];
-      L.res[i] = L.rhs[i] - acc;
-    }
-  });
-}
-
 /// Full-weighting restriction (finite-volume): each coarse cell's RHS is
-/// the sum of its four fine children's residuals -- watts add under
-/// agglomeration.
+/// the sum of its fine children's residuals -- watts add under
+/// agglomeration. The residual is formed on the fly, so no level stores it.
 void restrict_residual(const Level& fine, Level& coarse) {
+  const int rx = ratio(fine.nx, coarse.nx), ry = ratio(fine.ny, coarse.ny);
   const std::size_t n_rows = static_cast<std::size_t>(coarse.nz) * coarse.ny;
   core::parallel_for(n_rows, [&](std::size_t r) {
     const int z = static_cast<int>(r) / coarse.ny;
     const int y = static_cast<int>(r) % coarse.ny;
+    const int y0 = ry * y, y1 = y0 + width(y, ry, fine.ny);
     for (int x = 0; x < coarse.nx; ++x) {
-      coarse.rhs[coarse.idx(x, y, z)] =
-          fine.res[fine.idx(2 * x, 2 * y, z)] + fine.res[fine.idx(2 * x + 1, 2 * y, z)] +
-          fine.res[fine.idx(2 * x, 2 * y + 1, z)] + fine.res[fine.idx(2 * x + 1, 2 * y + 1, z)];
+      const int x0 = rx * x, x1 = x0 + width(x, rx, fine.nx);
+      double acc = 0;
+      for (int fy = y0; fy < y1; ++fy) {
+        for (int fx = x0; fx < x1; ++fx) acc += fine.residual_at(fx, fy, z);
+      }
+      coarse.rhs[coarse.idx(x, y, z)] = acc;
     }
   });
 }
 
-/// Cell-centered bilinear prolongation with clamped edges: a fine cell sits
-/// a quarter-cell off its coarse parent's center, giving 9/16-3/16-3/16-1/16
-/// weights toward the parent and the two/three nearest coarse neighbors.
+/// Coarse neighbour that fine cell `i` leans toward along one axis: a fine
+/// cell sits a quarter coarse cell off its parent's center, toward the
+/// sibling side (clamped at the edges). Along an axis that no longer
+/// coarsens (ratio 1) it sits on the center and leans nowhere. The lone
+/// cell of a ragged last aggregate leans like any even cell: placing it on
+/// its parent's center instead was tried and converged no faster.
+int lean(int i, int r, int coarse_n) {
+  const int c = i / r;
+  if (r == 1) return c;
+  return std::clamp(c + ((i & 1) ? 1 : -1), 0, coarse_n - 1);
+}
+
+/// Cell-centered bilinear prolongation with clamped edges: 9/16-3/16-3/16-
+/// 1/16 weights toward the parent and the two/three nearest coarse
+/// neighbors. Where a cell leans nowhere along an axis, the two weights on
+/// that axis land on the same coarse cell and the interpolation is linear
+/// in the other axis only.
 void prolong_add(const Level& coarse, Level& fine) {
+  const int rx = ratio(fine.nx, coarse.nx), ry = ratio(fine.ny, coarse.ny);
   const std::size_t n_rows = static_cast<std::size_t>(fine.nz) * fine.ny;
   core::parallel_for(n_rows, [&](std::size_t r) {
     const int z = static_cast<int>(r) / fine.ny;
     const int y = static_cast<int>(r) % fine.ny;
-    const int cy = y >> 1;
-    const int sy = (y & 1) ? 1 : -1;
-    const int cy2 = std::clamp(cy + sy, 0, coarse.ny - 1);
+    const int cy = y / ry;
+    const int cy2 = lean(y, ry, coarse.ny);
     for (int x = 0; x < fine.nx; ++x) {
-      const int cx = x >> 1;
-      const int sx = (x & 1) ? 1 : -1;
-      const int cx2 = std::clamp(cx + sx, 0, coarse.nx - 1);
+      const int cx = x / rx;
+      const int cx2 = lean(x, rx, coarse.nx);
       const double e =
           (9.0 * coarse.u[coarse.idx(cx, cy, z)] + 3.0 * coarse.u[coarse.idx(cx2, cy, z)] +
            3.0 * coarse.u[coarse.idx(cx, cy2, z)] + 1.0 * coarse.u[coarse.idx(cx2, cy2, z)]) /
@@ -308,192 +346,119 @@ void prolong_add(const Level& coarse, Level& fine) {
   });
 }
 
-/// Exact solver for the coarsest level. The coarsest level must be solved
-/// EXACTLY: the convective films are weak (tens of W/(m^2 K) on top and
-/// sides), so the operator carries a near-singular quasi-constant mode that
-/// smoothing barely touches at any level -- an iterative coarse "sweep
-/// block" leaves a slow ~0.85/cycle tail, while an exact solve restores
-/// the mesh-independent multigrid rate. Small levels get a dense LU
-/// factored once; levels a stopped (odd-extent) coarsening left large get
-/// tightly-converged Jacobi-CG, which handles the near-null mode where
-/// stationary smoothing cannot.
-class CoarseSolver {
- public:
-  explicit CoarseSolver(const Level& L) {
-    const int n = static_cast<int>(L.cells());
-    if (n <= kDirectMaxCells) {
-      circuit::DenseMatrix<double> A(n);
-      for_each_link(L, [&](int i, int j, double g) {
-        A.at(i, j) = -g;
-        A.at(j, i) = -g;
-      });
-      for (std::size_t i = 0; i < L.cells(); ++i) {
-        A.at(static_cast<int>(i), static_cast<int>(i)) = L.diag[i];
-      }
-      lu_.emplace(std::move(A));
-    } else {
-      circuit::RealSparseMatrix A(n);
-      for (std::size_t i = 0; i < L.cells(); ++i) {
-        A.add(static_cast<int>(i), static_cast<int>(i), L.diag[i]);
-      }
-      for_each_link(L, [&](int i, int j, double g) {
-        A.add(i, j, -g);
-        A.add(j, i, -g);
-      });
-      A.finalize();
-      sp_.emplace(std::move(A));
-      jacobi_.emplace(sp_->view());
-    }
-  }
-
-  void solve(const std::vector<double>& rhs, std::vector<double>& u) const {
-    if (lu_) {
-      u = lu_->solve(rhs);
-      return;
-    }
-    std::fill(u.begin(), u.end(), 0.0);
-    circuit::KrylovOptions ko;
-    ko.tol_rel = 1e-13;
-    ko.max_iters = 40 * sp_->size();
-    (void)circuit::cg(sp_->view(), rhs, u, *jacobi_, ko);
-  }
-
- private:
-  static constexpr int kDirectMaxCells = 1500;
-
-  template <typename F>
-  static void for_each_link(const Level& L, const F& f) {
-    const std::size_t plane = static_cast<std::size_t>(L.nx) * L.ny;
-    for (int z = 0; z < L.nz; ++z) {
-      for (int y = 0; y < L.ny; ++y) {
-        for (int x = 0; x < L.nx; ++x) {
-          const std::size_t i = L.idx(x, y, z);
-          const int ii = static_cast<int>(i);
-          if (x + 1 < L.nx) f(ii, ii + 1, L.gx[i]);
-          if (y + 1 < L.ny) f(ii, ii + L.nx, L.gy[i]);
-          if (z + 1 < L.nz) f(ii, ii + static_cast<int>(plane), L.gz[i]);
-        }
+/// Exact solver for the coarsest level, a dense LU factored once. The
+/// coarsest level must be solved EXACTLY: the convective films are weak
+/// (tens of W/(m^2 K) on top and sides), so the operator carries a
+/// near-singular quasi-constant mode that smoothing barely touches at any
+/// level -- an iterative coarse "sweep block" leaves a slow ~0.85/cycle
+/// tail, while an exact solve restores the mesh-independent multigrid rate.
+circuit::LuFactor<double> factor_coarsest(const Level& L) {
+  const int n = static_cast<int>(L.cells());
+  circuit::DenseMatrix<double> A(n);
+  for (int z = 0; z < L.nz; ++z) {
+    for (int y = 0; y < L.ny; ++y) {
+      for (int x = 0; x < L.nx; ++x) {
+        const int i = static_cast<int>(L.idx(x, y, z));
+        A.at(i, i) = L.diag[static_cast<std::size_t>(i)];
+        auto link = [&A, i](int j, double g) {
+          A.at(i, j) = -g;
+          A.at(j, i) = -g;
+        };
+        if (x + 1 < L.nx) link(i + 1, L.gx[static_cast<std::size_t>(i)]);
+        if (y + 1 < L.ny) link(i + L.nx, L.gy[static_cast<std::size_t>(i)]);
+        if (z + 1 < L.nz) link(i + L.nx * L.ny, L.gz[static_cast<std::size_t>(i)]);
       }
     }
   }
+  return circuit::LuFactor<double>(std::move(A));
+}
 
-  std::optional<circuit::LuFactor<double>> lu_;
-  std::optional<circuit::RealSparseMatrix> sp_;
-  std::optional<circuit::JacobiPreconditioner<double>> jacobi_;
-};
-
-void vcycle(std::vector<Level>& levels, std::size_t l, const CoarseSolver& coarse,
-            const SolverOptions& opts) {
+void vcycle(std::vector<Level>& levels, std::size_t l, const circuit::LuFactor<double>& coarsest) {
   Level& L = levels[l];
   if (l + 1 == levels.size()) {
-    coarse.solve(L.rhs, L.u);
+    L.u = coarsest.solve(L.rhs);
     return;
   }
-  for (int s = 0; s < opts.mg_pre_smooth; ++s) smooth(L);
-  residual(L);
+  for (int s = 0; s < kPreSmooth; ++s) smooth(L);
   restrict_residual(L, levels[l + 1]);
   std::fill(levels[l + 1].u.begin(), levels[l + 1].u.end(), 0.0);
-  vcycle(levels, l + 1, coarse, opts);
+  vcycle(levels, l + 1, coarsest);
   prolong_add(levels[l + 1], L);
-  for (int s = 0; s < opts.mg_post_smooth; ++s) smooth(L);
+  for (int s = 0; s < kPostSmooth; ++s) smooth(L);
 }
 
 }  // namespace
 
-ThermalField solve_steady_state_multigrid(const ThermalMesh& mesh, const SolverOptions& opts) {
+ThermalField solve_steady_state(const ThermalMesh& mesh) {
+  GIA_SPAN("thermal/steady_state");
   const int nx = mesh.nx, ny = mesh.ny;
   const int nz = static_cast<int>(mesh.layers.size());
   if (nx < 1 || ny < 1 || nz < 1) throw std::invalid_argument("empty mesh");
 
-  // --- Build the level hierarchy: lateral 2x coarsening while both extents
-  // stay even and above the floor.
-  std::vector<Level> levels;
-  {
-    Level fine;
-    fine.nx = nx;
-    fine.ny = ny;
-    fine.nz = nz;
-    fine.w = mesh.cell_w_um * 1e-6;
-    fine.h = mesh.cell_h_um * 1e-6;
-    fine.dz.resize(static_cast<std::size_t>(nz));
-    for (int z = 0; z < nz; ++z) {
-      fine.dz[static_cast<std::size_t>(z)] = mesh.layers[static_cast<std::size_t>(z)].thickness_um * 1e-6;
-    }
-    fine.k.resize(fine.cells());
-    fine.rhs.resize(fine.cells());
-    for (int z = 0; z < nz; ++z) {
-      const auto& layer = mesh.layers[static_cast<std::size_t>(z)];
-      for (int y = 0; y < ny; ++y) {
-        for (int x = 0; x < nx; ++x) {
-          fine.k[fine.idx(x, y, z)] = layer.k.at(x, y);
-          fine.rhs[fine.idx(x, y, z)] = layer.power.at(x, y);
-        }
-      }
-    }
-    levels.push_back(std::move(fine));
-  }
-  while (levels.back().nx % 2 == 0 && levels.back().ny % 2 == 0 &&
-         levels.back().nx / 2 >= opts.mg_min_extent && levels.back().ny / 2 >= opts.mg_min_extent) {
+  // --- Level hierarchy: halve each lateral axis (rounding up) until both
+  // reach kMinExtent. Each level's films are read only to coarsen it, so
+  // they are dropped once the next level exists; the fine level's film
+  // storage is reused for the convergence check's previous iterate.
+  std::vector<Level> levels(1);
+  levels[0].nx = nx;
+  levels[0].ny = ny;
+  levels[0].nz = nz;
+  assemble_fine(levels[0], mesh);
+  for (;;) {
     const Level& f = levels.back();
+    const int cnx = f.nx > kMinExtent ? (f.nx + 1) / 2 : f.nx;
+    const int cny = f.ny > kMinExtent ? (f.ny + 1) / 2 : f.ny;
+    if (cnx == f.nx && cny == f.ny) break;
     Level c;
-    c.nx = f.nx / 2;
-    c.ny = f.ny / 2;
-    c.nz = f.nz;
-    c.dz = f.dz;
-    c.rhs.assign(c.cells(), 0.0);
+    c.nx = cnx;
+    c.ny = cny;
+    c.nz = nz;
+    coarsen_operator(f, c);
+    if (levels.size() > 1) std::vector<double>().swap(levels.back().film);
     levels.push_back(std::move(c));
   }
-
-  // Too small to coarsen even once: SOR is the better solver there.
-  if (levels.size() < 2) return solve_steady_state_sor(mesh, opts);
-
-  GIA_SPAN("thermal/steady_state_mg");
-  assemble_fine(levels.front(), mesh);
-  for (std::size_t l = 1; l < levels.size(); ++l) coarsen_operator(levels[l - 1], levels[l]);
-  const CoarseSolver coarse(levels.back());
+  const circuit::LuFactor<double> coarsest = factor_coarsest(levels.back());
+  if (levels.size() > 1) std::vector<double>().swap(levels.back().film);
+  std::vector<double> u_prev = std::move(levels.front().film);
 
   // --- V-cycle to tolerance: converged when the largest fine-grid update
-  // of a whole cycle drops below tol_k (one V-cycle contracts the error by
+  // of a whole cycle drops below kTolK (one V-cycle contracts the error by
   // a mesh-independent factor, so the last update tracks the error scale).
   Level& fine = levels.front();
-  std::vector<double> u_prev(fine.cells());
-  const std::size_t n_rows = static_cast<std::size_t>(fine.nz) * fine.ny;
-  // ~40 V-cycles of work equals a few hundred SOR sweeps worst case; the
-  // sweep-count cap translates conservatively.
-  const int max_vcycles = std::max(1, opts.max_iters / 100);
-
+  const std::size_t n_rows = static_cast<std::size_t>(nz) * ny;
+  std::vector<double> row_max_du(n_rows);
   ThermalField field;
   field.nx = nx;
   field.ny = ny;
-  for (int cycle = 0; cycle < max_vcycles; ++cycle) {
+  for (int cycle = 0; cycle < kMaxVcycles; ++cycle) {
     u_prev = fine.u;
-    vcycle(levels, 0, coarse, opts);
-    std::fill(fine.row_scratch.begin(), fine.row_scratch.end(), 0.0);
+    vcycle(levels, 0, coarsest);
     core::parallel_for(n_rows, [&](std::size_t r) {
-      const std::size_t base = r * static_cast<std::size_t>(fine.nx);
+      const std::size_t base = r * static_cast<std::size_t>(nx);
       double m = 0;
-      for (int x = 0; x < fine.nx; ++x) {
-        m = std::max(m, std::abs(fine.u[base + x] - u_prev[base + x]));
-      }
-      fine.row_scratch[r] = m;
+      for (int x = 0; x < nx; ++x) m = std::max(m, std::abs(fine.u[base + x] - u_prev[base + x]));
+      row_max_du[r] = m;
     });
-    double max_du = 0;
-    for (double v : fine.row_scratch) max_du = std::max(max_du, v);
+    // max is exact under any accumulation order, so this reduction is
+    // deterministic by construction.
+    const double max_du = *std::max_element(row_max_du.begin(), row_max_du.end());
     field.iterations = cycle + 1;
-    if (max_du < opts.tol_k) {
+    if (max_du < kTolK) {
       field.converged = true;
       break;
     }
   }
 
-  field.t_c.assign(static_cast<std::size_t>(nz), geometry::Grid<double>(nx, ny, mesh.ambient_c));
+  // Release the hierarchy before the field is allocated.
+  const std::vector<double> theta = std::move(fine.u);
+  levels.clear();
+  std::vector<double>().swap(u_prev);
+
+  field.t_c.assign(static_cast<std::size_t>(nz), geometry::Grid<double>(nx, ny));
   for (int z = 0; z < nz; ++z) {
-    auto& t = field.t_c[static_cast<std::size_t>(z)];
-    for (int y = 0; y < ny; ++y) {
-      for (int x = 0; x < nx; ++x) {
-        t.at(x, y) = mesh.ambient_c + fine.u[fine.idx(x, y, z)];
-      }
-    }
+    auto& t = field.t_c[static_cast<std::size_t>(z)].data();
+    const std::size_t base = static_cast<std::size_t>(z) * t.size();
+    for (std::size_t i = 0; i < t.size(); ++i) t[i] = mesh.ambient_c + theta[base + i];
   }
   for (const auto& layer : field.t_c) {
     for (double v : layer.data()) field.max_c = std::max(field.max_c, v);

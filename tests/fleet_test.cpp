@@ -400,11 +400,16 @@ TEST(CoordinatorDaemonTest, RoutesMergesAndDegrades) {
   EXPECT_NE(resp.find("\"workers_up\":2"), std::string::npos);
   EXPECT_NE(resp.find("\"forwarded\":2"), std::string::npos);
 
+  // The stats body lists the coordinator's workers (Fleet::workers()).
+  const core::json::Value stats_resp = core::json::parse(resp);
+  const core::json::Value* workers = stats_resp.at("stats").at("fleet").find("workers");
+  ASSERT_NE(workers, nullptr);
+  EXPECT_EQ(workers->arr.size(), 2u);
+
   const auto st = coord.stats();
-  EXPECT_TRUE(st.fleet.enabled);
-  EXPECT_EQ(st.fleet.forwarded, 2u);
-  EXPECT_EQ(st.fleet.answered, 2u);
-  EXPECT_EQ(st.fleet.workers_total, 2u);
+  ASSERT_TRUE(st.fleet.has_value());
+  EXPECT_EQ(st.fleet->forwarded, 2u);
+  EXPECT_EQ(st.fleet->answered, 2u);
   EXPECT_EQ(st.flow_requests, 2u);
 
   ASSERT_TRUE(client.roundtrip("{\"shutdown\":true}", &resp, &err)) << err;

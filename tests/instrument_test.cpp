@@ -98,13 +98,13 @@ TEST_F(InstrumentTest, DisabledModeIsANoOp) {
   ins::set_enabled(false);
   {
     GIA_SPAN("invisible");
-    ins::counter_add(ins::Counter::SorIterations, 99);
+    ins::counter_add(ins::Counter::MgVcycles, 99);
     ins::gauge_set("ghost", 1.0);
   }
   ins::set_enabled(true);
   const auto rep = ins::RunReport::capture();
   EXPECT_TRUE(rep.root.children.empty());
-  EXPECT_EQ(ins::counter_value(ins::Counter::SorIterations), 0u);
+  EXPECT_EQ(ins::counter_value(ins::Counter::MgVcycles), 0u);
   EXPECT_TRUE(rep.gauges.empty());
 }
 

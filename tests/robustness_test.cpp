@@ -140,6 +140,25 @@ TEST(JsonLimitsTest, ValidNumbersStillParse) {
   EXPECT_NO_THROW(json::parse(out));
 }
 
+// \uXXXX escapes decode to UTF-8 (surrogate pairs joined), and the writer
+// passes the bytes through unescaped.
+TEST(JsonLimitsTest, UnicodeEscapesDecodeToUtf8) {
+  const json::Value v = json::parse("{\"id\":\"\\u4e2d\\u00e9\\ud83d\\ude00\"}");
+  const json::Value* id = v.find("id");
+  ASSERT_NE(id, nullptr);
+  const std::string expected = "\xe4\xb8\xad\xc3\xa9\xf0\x9f\x98\x80";
+  EXPECT_EQ(id->str, expected);
+  std::string out;
+  json::write(v, out);
+  EXPECT_EQ(out, "{\"id\":\"" + expected + "\"}");
+
+  for (const char* bad : {"\"\\ud83d\"", "\"\\ude00\"", "\"\\ud83d\\u0041\"", "\"\\u12G4\"",
+                          "\"\\u12\""}) {
+    const std::string msg = expect_parse_error(bad);
+    EXPECT_NE(msg.find("bad \\u escape"), std::string::npos) << bad << " -> " << msg;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fault-injection registry
 
@@ -378,6 +397,30 @@ TEST(DaemonRobustnessTest, DeepNestingBombGetsStructuredErrorNotACrash) {
   EXPECT_NE(resp.find("\"pong\":true"), std::string::npos);
   expect_alive(d.port());
   EXPECT_GE(d.server.stats().protocol_errors, 1u);
+}
+
+TEST(DaemonRobustnessTest, OutOfRangeThermalMeshIsRejected) {
+  // A thermal mesh extent outside [1, 192] is an error line, not a
+  // gigabyte allocation (100000^2 cells) inside the daemon.
+  DaemonFixture d(tight_options());
+  if (!d.ok) GTEST_SKIP() << "cannot bind loopback socket: " << d.err;
+
+  serve::Client client;
+  std::string resp, err;
+  ASSERT_TRUE(client.connect(d.port(), &err)) << err;
+  for (const char* field : {"nx", "ny"}) {
+    for (const int n : {0, -1, 100000}) {
+      const std::string line = "{\"flow_request\":{\"tech\":\"glass25d\",\"with_thermal\":true,"
+                               "\"thermal_mesh\":{\"" +
+                               std::string(field) + "\":" + std::to_string(n) + "}}}";
+      ASSERT_TRUE(client.roundtrip(line, &resp, &err)) << err;
+      EXPECT_NE(resp.find("\"ok\":false"), std::string::npos) << line << " -> " << resp;
+      EXPECT_NE(resp.find("thermal_mesh.nx and thermal_mesh.ny must be in [1, 192]"),
+                std::string::npos)
+          << line << " -> " << resp;
+    }
+  }
+  expect_alive(d.port());
 }
 
 TEST(DaemonRobustnessTest, OversizedLineIsRejectedAndCounted) {

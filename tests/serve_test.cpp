@@ -213,7 +213,9 @@ TEST(ServeCacheTest, DiskStoreSurvivesRestart) {
     ASSERT_TRUE(cache.disk_enabled());
     cache.put(0xdeadbeefull, make_result(42.5));
     EXPECT_EQ(cache.stats().disk_writes, 1u);
-    EXPECT_TRUE(fs::exists(dir + "/00000000deadbeef.json"));
+    EXPECT_EQ(cache.disk_path(0xdeadbeefull),
+              dir + "/m" + std::to_string(serve::kModelEpoch) + "-00000000deadbeef.json");
+    EXPECT_TRUE(fs::exists(cache.disk_path(0xdeadbeefull)));
   }
   {
     serve::ResultCache cache(cfg);  // fresh memory, same directory
@@ -230,12 +232,43 @@ TEST(ServeCacheTest, DiskStoreSurvivesRestart) {
   {
     // Corrupt entries are discarded, not fatal.
     serve::ResultCache cache(cfg);
-    std::FILE* f = std::fopen((dir + "/00000000deadbeef.json").c_str(), "w");
+    std::FILE* f = std::fopen(cache.disk_path(0xdeadbeefull).c_str(), "w");
     ASSERT_NE(f, nullptr);
     std::fputs("{\"technology_result\":", f);
     std::fclose(f);
     EXPECT_EQ(cache.get(0xdeadbeefull), nullptr);
-    EXPECT_FALSE(fs::exists(dir + "/00000000deadbeef.json"));
+    EXPECT_FALSE(fs::exists(cache.disk_path(0xdeadbeefull)));
+  }
+  fs::remove_all(dir);
+}
+
+TEST(ServeCacheTest, ModelEpochSaltsDiskFileNames) {
+  // An entry written by an older model build (unprefixed file name) must
+  // miss rather than be served as this build's result.
+  char tmpl[] = "/tmp/gia_cache_test_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  serve::ResultCache::Config cfg;
+  cfg.disk_dir = dir;
+  const std::string old_name = dir + "/00000000deadbeef.json";
+  {
+    serve::ResultCache cache(cfg);
+    cache.put(0xdeadbeefull, make_result(42.5));
+    fs::rename(cache.disk_path(0xdeadbeefull), old_name);
+  }
+  {
+    serve::ResultCache cache(cfg);
+    EXPECT_EQ(cache.get(0xdeadbeefull), nullptr);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_TRUE(fs::exists(old_name));  // left alone, just never read
+    cache.put(0xdeadbeefull, make_result(7.0));
+  }
+  {
+    serve::ResultCache cache(cfg);  // fresh memory, same directory
+    const auto hit = cache.get(0xdeadbeefull);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_DOUBLE_EQ(hit->total_power_w, 7.0);
+    EXPECT_EQ(cache.stats().disk_hits, 1u);
   }
   fs::remove_all(dir);
 }
