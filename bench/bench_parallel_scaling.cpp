@@ -5,6 +5,10 @@
 /// and 4 threads. Prints one JSON line per (kernel, thread-count) pair plus
 /// a speedup summary, and cross-checks that every thread count produced
 /// byte-identical output (the determinism contract of core/parallel.hpp).
+/// The flow_cold lines also carry the flow's deterministic work counts
+/// (router heap pops, placer moves, MNA transient steps, dense LU solves),
+/// read from core/instrument over one extra untimed run per thread count,
+/// so the timed runs keep tracing as the environment set it.
 ///
 /// Note: reported speedup is bounded by the machine's core count; on a
 /// single-core runner all configurations legitimately time the same.
@@ -12,8 +16,10 @@
 #include <sys/resource.h>
 
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -43,15 +49,38 @@ long max_rss_kb() {
   return getrusage(RUSAGE_SELF, &ru) == 0 ? ru.ru_maxrss : 0;
 }
 
+/// Work counters one run of `fn` adds, with counting switched on for it.
+std::string work_counts(const std::function<std::string()>& fn) {
+  namespace ins = core::instrument;
+  const ins::Counter counted[] = {ins::Counter::RouterHeapPops, ins::Counter::PlacerMoves,
+                                  ins::Counter::TransientSteps, ins::Counter::LuSolves};
+  const bool was_enabled = ins::enabled();
+  ins::set_enabled(true);
+  std::vector<std::uint64_t> before;
+  for (auto c : counted) before.push_back(ins::counter_value(c));
+  (void)fn();
+  std::string out;
+  for (std::size_t i = 0; i < std::size(counted); ++i) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, ",\"%s\":%" PRIu64, ins::counter_name(counted[i]),
+                  ins::counter_value(counted[i]) - before[i]);
+    out += buf;
+  }
+  ins::set_enabled(was_enabled);
+  return out;
+}
+
 /// Times `fn` once per thread count and prints one JSON line each; `fn`
 /// returns the bytes that must not depend on the thread count. One untimed
 /// run first, so the 1-thread row does not also pay the process's first
-/// heap growth.
-void run_scaling(const char* kernel, const std::function<std::string()>& fn) {
+/// heap growth. With `count_work`, each line also carries `work_counts`.
+void run_scaling(const char* kernel, const std::function<std::string()>& fn,
+                 bool count_work = false) {
   struct Row {
     int threads = 0;
     double wall_s = 0;
     std::string output;
+    std::string work;
   };
   (void)fn();
   std::vector<Row> rows;
@@ -60,16 +89,16 @@ void run_scaling(const char* kernel, const std::function<std::string()>& fn) {
     const auto t0 = std::chrono::steady_clock::now();
     std::string output = fn();
     const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
-    rows.push_back({n, dt.count(), std::move(output)});
+    rows.push_back({n, dt.count(), std::move(output), count_work ? work_counts(fn) : ""});
   }
   bool identical = true;
   for (const auto& r : rows) identical &= (r.output == rows.front().output);
   for (const auto& r : rows) {
     std::printf(
         "{\"bench\":\"bench_parallel_scaling\",\"kernel\":\"%s\",\"threads\":%d,"
-        "\"wall_s\":%.6f,\"speedup\":%.3f,\"identical\":%s,\"max_rss_kb\":%ld}\n",
+        "\"wall_s\":%.6f,\"speedup\":%.3f,\"identical\":%s,\"max_rss_kb\":%ld%s}\n",
         kernel, r.threads, r.wall_s, rows.front().wall_s / r.wall_s,
-        identical ? "true" : "false", max_rss_kb());
+        identical ? "true" : "false", max_rss_kb(), r.work.c_str());
   }
 }
 
@@ -106,10 +135,13 @@ int main() {
   core::FlowOptions opts;
   opts.with_eyes = true;
   opts.with_thermal = true;
-  run_scaling("flow_cold", [&] {
-    return core::technology_result_to_json(
-        core::run_full_flow(tech::TechnologyKind::Glass25D, opts));
-  });
+  run_scaling(
+      "flow_cold",
+      [&] {
+        return core::technology_result_to_json(
+            core::run_full_flow(tech::TechnologyKind::Glass25D, opts));
+      },
+      /*count_work=*/true);
   core::stage::set_stage_cache_enabled(cache_was_on);
 
   core::set_thread_count(0);

@@ -4,7 +4,8 @@
 #include <cmath>
 #include <random>
 #include <stdexcept>
-#include <unordered_map>
+
+#include "core/instrument.hpp"
 
 namespace gia::chiplet {
 namespace {
@@ -12,25 +13,29 @@ namespace {
 using geometry::Point;
 using geometry::Rect;
 
-/// Incrementally maintained bounding box of a net's terminal positions.
-struct NetBox {
-  double lx = 0, ly = 0, ux = 0, uy = 0;
+/// One optimized net: its movable terminals are `movable[begin, end)` of the
+/// placer's flat terminal list, and its fixed terminals are folded into one
+/// bounding box up front (min/max do not depend on the order they see the
+/// points in, so the box equals the one over all points).
+struct NetInfo {
+  int id = 0;
   int bits = 1;
-  double hpwl() const { return (ux - lx) + (uy - ly); }
+  int begin = 0, end = 0;
+  bool pinned = false;
+  double lx = 0, ly = 0, ux = 0, uy = 0;  ///< fixed-terminal box when `pinned`
 };
 
-NetBox box_of(const std::vector<Point>& pts, int bits) {
-  NetBox b;
-  b.bits = bits;
-  b.lx = b.ux = pts.front().x;
-  b.ly = b.uy = pts.front().y;
-  for (const auto& p : pts) {
-    b.lx = std::min(b.lx, p.x);
-    b.ux = std::max(b.ux, p.x);
-    b.ly = std::min(b.ly, p.y);
-    b.uy = std::max(b.uy, p.y);
-  }
-  return b;
+/// Merge two ascending net-index lists into `out` without duplicates --
+/// the same list std::sort + std::unique of their concatenation gives.
+void merge_unique(const int* a, const int* a_end, const int* b, const int* b_end,
+                  std::vector<int>& out) {
+  out.clear();
+  auto emit = [&](int v) {
+    if (out.empty() || out.back() != v) out.push_back(v);
+  };
+  while (a != a_end && b != b_end) emit(*b < *a ? *b++ : *a++);
+  while (a != a_end) emit(*a++);
+  while (b != b_end) emit(*b++);
 }
 
 }  // namespace
@@ -53,11 +58,16 @@ PlacementResult place_clusters(const netlist::Netlist& nl, const std::vector<int
   const int grid = std::max(2, static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n)))));
   const double dx = region.width() / grid, dy = region.height() / grid;
 
-  std::unordered_map<int, int> local_of;  // instance id -> local index
-  local_of.reserve(static_cast<std::size_t>(n) * 2);
-  for (int i = 0; i < n; ++i) local_of[instance_ids[static_cast<std::size_t>(i)]] = i;
-  std::unordered_map<int, Point> fixed;
-  for (const auto& [id, p] : fixed_terminals) fixed[id] = p;
+  // Dense per-instance lookups: local index of a movable cluster, and the
+  // fixed_terminals entry of a pinned one (-1 = none; later entries win).
+  const auto n_inst = static_cast<std::size_t>(nl.instance_count());
+  std::vector<int> local_of(n_inst, -1);
+  for (int i = 0; i < n; ++i) local_of[static_cast<std::size_t>(instance_ids[static_cast<std::size_t>(i)])] = i;
+  std::vector<int> fixed_of(n_inst, -1);
+  for (std::size_t f = 0; f < fixed_terminals.size(); ++f) {
+    const int id = fixed_terminals[f].first;
+    if (id >= 0 && static_cast<std::size_t>(id) < n_inst) fixed_of[static_cast<std::size_t>(id)] = static_cast<int>(f);
+  }
 
   // Initial placement: row-major over the site grid.
   std::vector<Point> pos(static_cast<std::size_t>(n));
@@ -66,48 +76,89 @@ PlacementResult place_clusters(const netlist::Netlist& nl, const std::vector<int
                                         region.ly + (i / grid + 0.5) * dy};
   }
 
-  // Net -> local terminals (movable) and fixed points.
-  struct NetInfo {
-    int id;
-    int bits;
-    std::vector<int> movable;
-    std::vector<Point> pinned;
-  };
+  // Nets: movable terminals in one flat list, fixed points folded to a box.
   std::vector<NetInfo> nets;
-  std::vector<std::vector<int>> nets_of(static_cast<std::size_t>(n));
+  std::vector<int> movable;
   nets.reserve(net_ids.size());
   for (int nid : net_ids) {
     const auto& net = nl.net(nid);
-    NetInfo info{nid, net.bits, {}, {}};
+    NetInfo info;
+    info.id = nid;
+    info.bits = net.bits;
+    info.begin = static_cast<int>(movable.size());
+    auto pin = [&](const Point& p) {
+      if (!info.pinned) {
+        info.pinned = true;
+        info.lx = info.ux = p.x;
+        info.ly = info.uy = p.y;
+      }
+      info.lx = std::min(info.lx, p.x);
+      info.ux = std::max(info.ux, p.x);
+      info.ly = std::min(info.ly, p.y);
+      info.uy = std::max(info.uy, p.y);
+    };
     for (int t : net.terminals) {
-      auto it = local_of.find(t);
-      if (it != local_of.end()) {
-        info.movable.push_back(it->second);
-      } else if (auto fit = fixed.find(t); fit != fixed.end()) {
-        info.pinned.push_back(fit->second);
+      const bool known = t >= 0 && static_cast<std::size_t>(t) < n_inst;
+      const int local = known ? local_of[static_cast<std::size_t>(t)] : -1;
+      const int f = known ? fixed_of[static_cast<std::size_t>(t)] : -1;
+      if (local >= 0) {
+        movable.push_back(local);
+      } else if (f >= 0) {
+        pin(fixed_terminals[static_cast<std::size_t>(f)].second);
       } else {
-        info.pinned.push_back(die.center());
+        pin(die.center());
       }
     }
-    if (info.movable.empty()) continue;
-    const int idx = static_cast<int>(nets.size());
-    for (int m : info.movable) nets_of[static_cast<std::size_t>(m)].push_back(idx);
-    nets.push_back(std::move(info));
+    info.end = static_cast<int>(movable.size());
+    if (info.end == info.begin) {
+      movable.resize(static_cast<std::size_t>(info.begin));
+      continue;
+    }
+    nets.push_back(info);
   }
 
+  // Cluster -> nets touching it (ascending net index, one entry per
+  // terminal occurrence), as offsets into one flat list.
+  std::vector<int> nets_of_begin(static_cast<std::size_t>(n) + 1, 0);
+  for (int m : movable) ++nets_of_begin[static_cast<std::size_t>(m) + 1];
+  for (int i = 0; i < n; ++i) nets_of_begin[static_cast<std::size_t>(i) + 1] += nets_of_begin[static_cast<std::size_t>(i)];
+  std::vector<int> nets_of(movable.size());
+  {
+    std::vector<int> fill(nets_of_begin.begin(), nets_of_begin.end() - 1);
+    for (std::size_t idx = 0; idx < nets.size(); ++idx) {
+      for (int k = nets[idx].begin; k < nets[idx].end; ++k) {
+        nets_of[static_cast<std::size_t>(fill[static_cast<std::size_t>(movable[static_cast<std::size_t>(k)])]++)] = static_cast<int>(idx);
+      }
+    }
+  }
+
+  // Bit-weighted HPWL of one net at the current positions.
   auto net_hpwl = [&](const NetInfo& info) {
-    std::vector<Point> pts = info.pinned;
-    for (int m : info.movable) pts.push_back(pos[static_cast<std::size_t>(m)]);
-    return box_of(pts, info.bits).hpwl() * info.bits;
-  };
-  auto cost_of = [&](const std::vector<int>& affected) {
-    double c = 0;
-    for (int idx : affected) c += net_hpwl(nets[static_cast<std::size_t>(idx)]);
-    return c;
+    int k = info.begin;
+    double lx = info.lx, ly = info.ly, ux = info.ux, uy = info.uy;
+    if (!info.pinned) {
+      const Point& p = pos[static_cast<std::size_t>(movable[static_cast<std::size_t>(k++)])];
+      lx = ux = p.x;
+      ly = uy = p.y;
+    }
+    for (; k < info.end; ++k) {
+      const Point& p = pos[static_cast<std::size_t>(movable[static_cast<std::size_t>(k)])];
+      lx = std::min(lx, p.x);
+      ux = std::max(ux, p.x);
+      ly = std::min(ly, p.y);
+      uy = std::max(uy, p.y);
+    }
+    return ((ux - lx) + (uy - ly)) * info.bits;
   };
 
+  // Each net's HPWL at the current positions: a move's "before" cost sums
+  // these instead of recomputing them, and an accepted move refreshes them.
+  std::vector<double> hpwl(nets.size());
   double total = 0;
-  for (const auto& info : nets) total += net_hpwl(info);
+  for (std::size_t idx = 0; idx < nets.size(); ++idx) {
+    hpwl[idx] = net_hpwl(nets[idx]);
+    total += hpwl[idx];
+  }
 
   // Annealing: swap two clusters or nudge one to a random site.
   std::mt19937 rng(opts.seed);
@@ -119,32 +170,44 @@ PlacementResult place_clusters(const netlist::Netlist& nl, const std::vector<int
   double temp = std::max(total * opts.t_start_frac / std::max(1, n), 1.0);
   const int total_moves = opts.moves_per_cluster * n;
   const int moves_per_stage = std::max(64, total_moves / 40);
+  core::instrument::counter_add(core::instrument::Counter::PlacerMoves,
+                                static_cast<std::uint64_t>(std::max(0, total_moves)));
 
+  std::vector<int> merged;      // a swap's affected nets
+  std::vector<double> trial;    // affected nets' HPWL after the move
   for (int mv = 0; mv < total_moves; ++mv) {
     const int a = pick(rng);
     const bool do_swap = unif(rng) < 0.5 && n > 1;
     int b = -1;
-    Point old_a = pos[static_cast<std::size_t>(a)];
+    const Point old_a = pos[static_cast<std::size_t>(a)];
     Point old_b;
-    std::vector<int> affected = nets_of[static_cast<std::size_t>(a)];
+    const int* aff = nets_of.data() + nets_of_begin[static_cast<std::size_t>(a)];
+    const int* aff_end = nets_of.data() + nets_of_begin[static_cast<std::size_t>(a) + 1];
     if (do_swap) {
       do { b = pick(rng); } while (b == a);
       old_b = pos[static_cast<std::size_t>(b)];
-      affected.insert(affected.end(), nets_of[static_cast<std::size_t>(b)].begin(),
-                      nets_of[static_cast<std::size_t>(b)].end());
-      std::sort(affected.begin(), affected.end());
-      affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
+      merge_unique(aff, aff_end, nets_of.data() + nets_of_begin[static_cast<std::size_t>(b)],
+                   nets_of.data() + nets_of_begin[static_cast<std::size_t>(b) + 1], merged);
+      aff = merged.data();
+      aff_end = merged.data() + merged.size();
     }
-    const double before = cost_of(affected);
+    double before = 0;
+    for (const int* it = aff; it != aff_end; ++it) before += hpwl[static_cast<std::size_t>(*it)];
     if (do_swap) {
       std::swap(pos[static_cast<std::size_t>(a)], pos[static_cast<std::size_t>(b)]);
     } else {
       pos[static_cast<std::size_t>(a)] = {rx(rng), ry(rng)};
     }
-    const double after = cost_of(affected);
+    trial.clear();
+    double after = 0;
+    for (const int* it = aff; it != aff_end; ++it) {
+      trial.push_back(net_hpwl(nets[static_cast<std::size_t>(*it)]));
+      after += trial.back();
+    }
     const double delta = after - before;
     if (delta <= 0 || unif(rng) < std::exp(-delta / temp)) {
       total += delta;
+      for (std::size_t k = 0; k < trial.size(); ++k) hpwl[static_cast<std::size_t>(aff[k])] = trial[k];
     } else {
       pos[static_cast<std::size_t>(a)] = old_a;
       if (do_swap) pos[static_cast<std::size_t>(b)] = old_b;
@@ -155,10 +218,10 @@ PlacementResult place_clusters(const netlist::Netlist& nl, const std::vector<int
   PlacementResult out;
   out.region = region;
   out.total_hpwl_um = 0;
-  for (const auto& info : nets) {
-    const double h = net_hpwl(info);  // reads `pos`; keep before the move below
-    out.nets.push_back({info.id, info.bits, h / info.bits});
-    out.total_hpwl_um += h;
+  out.nets.reserve(nets.size());
+  for (std::size_t idx = 0; idx < nets.size(); ++idx) {
+    out.nets.push_back({nets[idx].id, nets[idx].bits, hpwl[idx] / nets[idx].bits});
+    out.total_hpwl_um += hpwl[idx];
   }
   out.positions = std::move(pos);
   return out;

@@ -2,9 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "core/instrument.hpp"
 #include "netlist/cell_library.hpp"
 #include "signal/aib.hpp"
 
@@ -27,52 +26,69 @@ ChipletPnrResult run_chiplet_pnr(const netlist::Netlist& nl, const netlist::Chip
   std::vector<int> nets = chip.internal_net_ids;
   nets.insert(nets.end(), chip.cut_net_ids.begin(), chip.cut_net_ids.end());
 
-  std::unordered_set<int> mine(chip.instance_ids.begin(), chip.instance_ids.end());
+  // Instance id -> index in chip.instance_ids (-1 = not on this chiplet).
+  std::vector<int> local_of(static_cast<std::size_t>(nl.instance_count()), -1);
+  for (std::size_t i = 0; i < chip.instance_ids.size(); ++i) {
+    local_of[static_cast<std::size_t>(chip.instance_ids[i])] = static_cast<int>(i);
+  }
+  auto local_index = [&](int t) {
+    return t >= 0 && t < nl.instance_count() ? local_of[static_cast<std::size_t>(t)] : -1;
+  };
 
   // Two-pass pin assignment, mirroring Innovus's bump-aware I/O placement:
   // place once ignoring I/O, then anchor each cut net's external terminal to
   // the free signal bump nearest its internal terminals, then re-place.
   PlacerOptions scout = opts.placer;
   scout.moves_per_cluster = std::max(10, opts.placer.moves_per_cluster / 4);
-  const auto draft = place_clusters(nl, chip.instance_ids, chip.internal_net_ids, die, {}, scout);
-  std::unordered_map<int, std::size_t> local_of;
-  for (std::size_t i = 0; i < chip.instance_ids.size(); ++i) {
-    local_of[chip.instance_ids[i]] = i;
+  PlacementResult draft;
+  {
+    GIA_SPAN("chiplet/place_draft");
+    draft = place_clusters(nl, chip.instance_ids, chip.internal_net_ids, die, {}, scout);
   }
 
-  std::vector<bool> site_used(plan.bump_sites.size(), false);
   std::vector<std::pair<int, geometry::Point>> fixed;
-  for (int nid : chip.cut_net_ids) {
-    // Centroid of this net's internal terminals in the draft placement.
-    geometry::Point centroid{die.center()};
-    int n_in = 0;
-    for (int t : nl.net(nid).terminals) {
-      auto it = local_of.find(t);
-      if (it != local_of.end()) {
-        const auto& p = draft.positions[it->second];
-        centroid = (n_in == 0) ? p : geometry::Point{centroid.x + p.x, centroid.y + p.y};
-        ++n_in;
+  {
+    GIA_SPAN("chiplet/pin_anchor");
+    std::vector<bool> site_used(plan.bump_sites.size(), false);
+    for (int nid : chip.cut_net_ids) {
+      // Centroid of this net's internal terminals in the draft placement.
+      geometry::Point centroid{die.center()};
+      int n_in = 0;
+      for (int t : nl.net(nid).terminals) {
+        const int li = local_index(t);
+        if (li >= 0) {
+          const auto& p = draft.positions[static_cast<std::size_t>(li)];
+          centroid = (n_in == 0) ? p : geometry::Point{centroid.x + p.x, centroid.y + p.y};
+          ++n_in;
+        }
+      }
+      if (n_in > 1) centroid = centroid * (1.0 / n_in);
+      // Nearest free bump site (falls back to nearest overall when exhausted).
+      std::size_t best = 0;
+      double best_d = 1e300;
+      for (std::size_t s = 0; s < plan.bump_sites.size(); ++s) {
+        if (site_used[s]) continue;
+        const double d = geometry::manhattan_distance(plan.bump_sites[s], centroid);
+        if (d < best_d) { best_d = d; best = s; }
+      }
+      site_used[best] = true;
+      for (int t : nl.net(nid).terminals) {
+        if (local_index(t) < 0) fixed.emplace_back(t, plan.bump_sites[best]);
       }
     }
-    if (n_in > 1) centroid = centroid * (1.0 / n_in);
-    // Nearest free bump site (falls back to nearest overall when exhausted).
-    std::size_t best = 0;
-    double best_d = 1e300;
-    for (std::size_t s = 0; s < plan.bump_sites.size(); ++s) {
-      if (site_used[s]) continue;
-      const double d = geometry::manhattan_distance(plan.bump_sites[s], centroid);
-      if (d < best_d) { best_d = d; best = s; }
-    }
-    site_used[best] = true;
-    for (int t : nl.net(nid).terminals) {
-      if (!mine.count(t)) fixed.emplace_back(t, plan.bump_sites[best]);
-    }
   }
-  const auto placement = place_clusters(nl, chip.instance_ids, nets, die, fixed, opts.placer);
+  PlacementResult placement;
+  {
+    GIA_SPAN("chiplet/place_final");
+    placement = place_clusters(nl, chip.instance_ids, nets, die, fixed, opts.placer);
+  }
 
   // --- Wirelength: HPWL * congestion detour + local (intra-cluster) nets.
   const double local_wl = intra_cluster_wirelength_um(chip.cells, lib);
-  out.congestion = evaluate_congestion(placement, local_wl, opts.congestion);
+  {
+    GIA_SPAN("chiplet/congestion");
+    out.congestion = evaluate_congestion(placement, local_wl, opts.congestion);
+  }
   double routed_wl_um = placement.total_hpwl_um * out.congestion.detour_factor + local_wl;
   if (tech.integration == tech::IntegrationStyle::TsvStack) {
     routed_wl_um *= opts.tsv_stack_wl_factor;

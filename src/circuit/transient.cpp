@@ -78,13 +78,16 @@ TransientResult run_transient(const Circuit& ckt, const TransientSpec& spec) {
     assemble_transient(ckt, dt, A, mutual_val);
     lu.emplace(std::move(A));
   }
-  auto solve_step = [&](const std::vector<double>& rhs,
-                        const std::vector<double>& guess) -> std::vector<double> {
-    if (!sparse) return lu->solve(rhs);
-    std::vector<double> x = guess;
-    const auto stats = bicgstab(sp->view(), rhs, x, *ilu);
+  // Solve one step into `out`; the sparse backend warm-starts from `guess`.
+  auto solve_step = [&](const std::vector<double>& rhs, const std::vector<double>& guess,
+                        std::vector<double>& out) {
+    if (!sparse) {
+      lu->solve_into(rhs, out);
+      return;
+    }
+    out = guess;
+    const auto stats = bicgstab(sp->view(), rhs, out, *ilu);
     if (!stats.converged) throw std::runtime_error("sparse transient solve failed to converge (singular MNA matrix / floating node?)");
-    return x;
   };
 
   // --- Initial state.
@@ -106,6 +109,8 @@ TransientResult run_transient(const Circuit& ckt, const TransientSpec& spec) {
   std::vector<std::vector<double>> probe_data(spec.probes.size());
   std::vector<std::vector<double>> vsrc_data(spec.record_vsource_currents ? ckt.vsources().size()
                                                                           : 0);
+  for (auto& d : probe_data) d.reserve(n_steps + 1);
+  for (auto& d : vsrc_data) d.reserve(n_steps + 1);
   auto record = [&](const std::vector<double>& state) {
     for (std::size_t p = 0; p < spec.probes.size(); ++p) {
       probe_data[p].push_back(v_of(state, spec.probes[p]));
@@ -118,6 +123,7 @@ TransientResult run_transient(const Circuit& ckt, const TransientSpec& spec) {
   record(x);
 
   std::vector<double> rhs(static_cast<std::size_t>(m));
+  std::vector<double> x_new(static_cast<std::size_t>(m));
   for (std::size_t step = 1; step <= n_steps; ++step) {
     const double t = static_cast<double>(step) * dt;
     std::fill(rhs.begin(), rhs.end(), 0.0);
@@ -164,7 +170,7 @@ TransientResult run_transient(const Circuit& ckt, const TransientSpec& spec) {
           (2.0 * mutual_val[kk] / dt) * i1_prev;
     }
 
-    std::vector<double> x_new = solve_step(rhs, x);
+    solve_step(rhs, x, x_new);
 
     // Update capacitor currents from the trapezoidal companion.
     for (std::size_t ci = 0; ci < caps.size(); ++ci) {
@@ -174,7 +180,7 @@ TransientResult run_transient(const Circuit& ckt, const TransientSpec& spec) {
       const double v_new = v_of(x_new, c.a) - v_of(x_new, c.b);
       icap[ci] = geq * (v_new - v_prev) - icap[ci];
     }
-    x = std::move(x_new);
+    x.swap(x_new);
     record(x);
   }
 

@@ -24,7 +24,7 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "thermal_transient_steps", "lu_factorizations", "lu_solves",   "transient_steps",
     "ac_points",               "mc_trials",         "prbs_segments", "eye_uis",
     "sweep_points",            "flow_runs",         "stage_runs",    "krylov_iterations",
-    "mg_vcycles",
+    "mg_vcycles",              "router_heap_pops",  "placer_moves",
 };
 
 struct SpanNode {

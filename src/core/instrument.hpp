@@ -58,6 +58,8 @@ enum class Counter : int {
   StageRuns,                  ///< flow stage bodies executed (stage-cache misses run)
   KrylovIterations,           ///< CG/BiCGSTAB iterations across all sparse solves
   MgVcycles,                  ///< thermal steady-state multigrid V-cycles
+  RouterHeapPops,             ///< interposer A* heap pops (added once per routed net)
+  PlacerMoves,                ///< cluster annealing moves (added once per placement)
   kCount
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/instrument.hpp"
 #include "interposer/arrangement.hpp"
 #include "interposer/floorplanner.hpp"
 #include "tech/library.hpp"
@@ -46,7 +47,10 @@ InterposerDesign build_interposer_design(tech::TechnologyKind kind, const Chiple
   d.plans = chiplet::plan_chiplet_pair(inputs.logic_signal_ios, inputs.memory_signal_ios,
                                        inputs.logic_cell_area_um2, inputs.memory_cell_area_um2,
                                        d.technology);
-  d.floorplan = place_dies(d.technology, d.plans.logic, d.plans.memory, fp_opts);
+  {
+    GIA_SPAN("interposer/floorplan");
+    d.floorplan = place_dies(d.technology, d.plans.logic, d.plans.memory, fp_opts);
+  }
   // Net counts follow the partition: every memory signal is an intra-tile
   // L2M net; the logic die's remaining signals are the inter-tile bundle.
   // Unconventional partitions (flattened FM at odd balance points) can give
@@ -57,7 +61,10 @@ InterposerDesign build_interposer_design(tech::TechnologyKind kind, const Chiple
                             std::max(1, inputs.logic_signal_ios - 1));
   na.l2m_per_tile =
       std::min(inputs.memory_signal_ios, inputs.logic_signal_ios - na.l2l_total);
-  d.top_nets = assign_top_nets(d.technology, d.floorplan, na);
+  {
+    GIA_SPAN("interposer/net_assign");
+    d.top_nets = assign_top_nets(d.technology, d.floorplan, na);
+  }
   d.routes = route_interposer(d.technology, d.floorplan, d.top_nets, router_opts);
   return d;
 }
@@ -97,13 +104,18 @@ InterposerDesign build_system_design(tech::TechnologyKind kind,
   }
   // Floorplan arrangements anneal against the partition's pair-cut demands;
   // the lattice arrangements are demand-oblivious.
-  auto arr = sys.arrangement == chiplet::Arrangement::Floorplan
-                 ? floorplan_chiplets(d.technology, sys, d.chiplet_plans, inputs.pairs, fp_opts)
-                 : arrange_chiplets(d.technology, sys, d.chiplet_plans, fp_opts);
-  d.floorplan = std::move(arr.floorplan);
-  d.adjacency = std::move(arr.adjacency);
-
-  d.top_nets = assign_system_nets(d.floorplan, inputs.pairs);
+  {
+    GIA_SPAN("interposer/floorplan");
+    auto arr = sys.arrangement == chiplet::Arrangement::Floorplan
+                   ? floorplan_chiplets(d.technology, sys, d.chiplet_plans, inputs.pairs, fp_opts)
+                   : arrange_chiplets(d.technology, sys, d.chiplet_plans, fp_opts);
+    d.floorplan = std::move(arr.floorplan);
+    d.adjacency = std::move(arr.adjacency);
+  }
+  {
+    GIA_SPAN("interposer/net_assign");
+    d.top_nets = assign_system_nets(d.floorplan, inputs.pairs);
+  }
 
   RouterOptions ro = router_opts;
   ro.grid_nx = scaled_router_grid(router_opts.grid_nx, k);

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
+#include "core/instrument.hpp"
 #include "geometry/polygon.hpp"
 #include "geometry/predicates.hpp"
+#include "interposer/node_heap.hpp"
 
 namespace gia::interposer {
 
@@ -32,29 +33,52 @@ struct GridCtx {
   std::size_t idx(int x, int y, int l) const {
     return (static_cast<std::size_t>(l) * ny + y) * nx + x;
   }
-  std::size_t size() const { return static_cast<std::size_t>(nx) * ny * layers; }
+  std::size_t plane() const { return static_cast<std::size_t>(nx) * ny; }
+  std::size_t size() const { return plane() * layers; }
 };
 
 struct Move {
   int dx, dy, dl;
   double base_cost;  ///< um-equivalent
+  std::ptrdiff_t offset = 0;  ///< node index change: dx + dy * nx + dl * nx * ny
 };
 
-/// One net's routing workspace shared across passes.
+/// The routing workspace shared by every net and pass. The search arrays
+/// (`dist`, `prev`, `heap`) are sized once; each search resets only the
+/// nodes the previous one touched.
 struct Workspace {
   GridCtx g;
   const RouterOptions* opts = nullptr;
+  /// Track capacity per (x, y) cell. It does not depend on the layer, so one
+  /// plane serves every layer (node n reads capacity[n % plane]).
   std::vector<double> capacity;
-  std::vector<double> usage;
+  /// Booked tracks per node. Demands are whole wire counts, so an integer
+  /// holds exactly the value a double accumulator would.
+  std::vector<int> usage;
+  std::vector<double> congestion;  ///< per node: multiplier(usage, capacity)
   std::vector<std::vector<Move>> layer_moves;
   std::vector<double> dist;
   std::vector<int> prev;
+  NodeHeap heap;
+  std::vector<std::uint32_t> touched;  ///< nodes whose dist/prev the last search set
+  std::vector<std::size_t> chain;    ///< path recovery scratch
+  std::vector<double> h_x, h_y;      ///< per-column / per-row A* heuristic terms
 
-  double congestion_cost(std::size_t node) const {
-    const double u = usage[node] / capacity[node];
+  double capacity_of(std::size_t node) const { return capacity[node % g.plane()]; }
+
+  /// Lateral step cost multiplier: quadratic in utilization, plus a steep
+  /// overflow term once a cell is at capacity.
+  double multiplier(std::size_t node) const {
+    const double u = usage[node] / capacity_of(node);
     double mult = 1.0 + opts->congestion_weight * u * u;
     if (u >= 1.0) mult += opts->overflow_penalty * (u - 1.0 + 0.05);
     return mult;
+  }
+
+  /// The one place usage changes, so `congestion` always matches it.
+  void add_usage(std::size_t node, int tracks) {
+    usage[node] += tracks;
+    congestion[node] = multiplier(node);
   }
 };
 
@@ -66,36 +90,55 @@ void route_one(Workspace& ws, const TopNet& net, RoutedNet& rn,
   const auto& opts = *ws.opts;
   const double dw = g.cell_w, dh = g.cell_h;
   // A bundle of `bits` wires books that many tracks per crossed cell.
-  const double track_demand = static_cast<double>(net.bits);
+  const int track_demand = net.bits;
 
   const int ax = g.cell_of_x(net.a.x), ay = g.cell_of_y(net.a.y);
   const int bx = g.cell_of_x(net.b.x), by = g.cell_of_y(net.b.y);
 
-  std::fill(ws.dist.begin(), ws.dist.end(), std::numeric_limits<double>::infinity());
-  std::fill(ws.prev.begin(), ws.prev.end(), -1);
-  using QEntry = std::pair<double, std::size_t>;  // (f = cost + h, node)
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
+  // Undo the previous search on the nodes it touched only.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (std::size_t n : ws.touched) {
+    ws.dist[n] = kInf;
+    ws.prev[n] = -1;
+  }
+  ws.touched.clear();
+  ws.heap.clear();
+  auto set_dist = [&](std::size_t n, double d) {
+    if (ws.dist[n] == kInf) ws.touched.push_back(static_cast<std::uint32_t>(n));
+    ws.dist[n] = d;
+  };
+
+  // Admissible heuristic h(x, y) = h_x[x] + h_y[y], tabulated per search.
+  for (int x = 0; x < g.nx; ++x) ws.h_x[static_cast<std::size_t>(x)] = std::abs(x - bx) * dw * 0.999;
+  for (int y = 0; y < g.ny; ++y) ws.h_y[static_cast<std::size_t>(y)] = std::abs(y - by) * dh * 0.999;
   auto heuristic = [&](int x, int y) {
-    return std::abs(x - bx) * dw * 0.999 + std::abs(y - by) * dh * 0.999;
+    return ws.h_x[static_cast<std::size_t>(x)] + ws.h_y[static_cast<std::size_t>(y)];
   };
   // Bumps land on the top layer; escaping down to layer l costs l+1 vias.
   for (int l = 0; l < g.layers; ++l) {
     const std::size_t s = g.idx(ax, ay, l);
     const double c = (l + 1) * opts.via_cost_um;
     if (c < ws.dist[s]) {
-      ws.dist[s] = c;
-      pq.push({c + heuristic(ax, ay), s});
+      set_dist(s, c);
+      ws.heap.push(s, c + heuristic(ax, ay));
     }
   }
+  const std::size_t plane = g.plane();
+  const auto plane32 = static_cast<std::uint32_t>(plane);
+  const auto nx32 = static_cast<std::uint32_t>(g.nx);
   std::size_t goal = std::numeric_limits<std::size_t>::max();
-  while (!pq.empty()) {
-    const auto [f, node] = pq.top();
-    pq.pop();
-    const int l = static_cast<int>(node / (static_cast<std::size_t>(g.nx) * g.ny));
-    const int rem = static_cast<int>(node % (static_cast<std::size_t>(g.nx) * g.ny));
-    const int y = rem / g.nx, x = rem % g.nx;
+  std::uint64_t pops = 0;
+  while (!ws.heap.empty()) {
+    const auto [f, node32] = ws.heap.pop();
+    ++pops;
+    const std::size_t node = node32;
+    const auto rem = static_cast<std::uint32_t>(node32 % plane32);
+    const int l = static_cast<int>(node32 / plane32);
+    const int y = static_cast<int>(rem / nx32), x = static_cast<int>(rem % nx32);
     const double d = ws.dist[node];
-    if (f - heuristic(x, y) > d + 1e-9) continue;  // stale entry
+    // Every queued key is its node's live f = dist + h, so this only drops
+    // an entry whose f - h rounds more than 1e-9 above dist.
+    if (f - heuristic(x, y) > d + 1e-9) continue;
     if (x == bx && y == by) {
       goal = node;
       break;
@@ -103,21 +146,23 @@ void route_one(Workspace& ws, const TopNet& net, RoutedNet& rn,
     for (const auto& mv : ws.layer_moves[static_cast<std::size_t>(l)]) {
       const int nx2 = x + mv.dx, ny2 = y + mv.dy, nl = l + mv.dl;
       if (nx2 < 0 || nx2 >= g.nx || ny2 < 0 || ny2 >= g.ny || nl < 0 || nl >= g.layers) continue;
-      const std::size_t nn = g.idx(nx2, ny2, nl);
-      const double step = mv.dl != 0 ? mv.base_cost : mv.base_cost * ws.congestion_cost(nn);
+      const std::size_t nn = node + static_cast<std::size_t>(mv.offset);
+      const double step = mv.dl != 0 ? mv.base_cost : mv.base_cost * ws.congestion[nn];
       if (d + step < ws.dist[nn] - 1e-12) {
-        ws.dist[nn] = d + step;
+        set_dist(nn, d + step);
         ws.prev[nn] = static_cast<int>(node);
-        pq.push({ws.dist[nn] + heuristic(nx2, ny2), nn});
+        ws.heap.push(nn, ws.dist[nn] + heuristic(nx2, ny2));
       }
     }
   }
+  core::instrument::counter_add(core::instrument::Counter::RouterHeapPops, pops);
   if (goal == std::numeric_limits<std::size_t>::max()) {
     throw std::runtime_error("unroutable net " + net.name);
   }
 
   // Recover the path, accumulate usage, build the polyline.
-  std::vector<std::size_t> chain;
+  auto& chain = ws.chain;
+  chain.clear();
   for (std::size_t n = goal;;) {
     chain.push_back(n);
     const int p = ws.prev[n];
@@ -129,26 +174,26 @@ void route_one(Workspace& ws, const TopNet& net, RoutedNet& rn,
   double lateral = 0;
   int vias = 0;
   {
-    const int l0 = static_cast<int>(chain.front() / (static_cast<std::size_t>(g.nx) * g.ny));
-    const int le = static_cast<int>(chain.back() / (static_cast<std::size_t>(g.nx) * g.ny));
+    const int l0 = static_cast<int>(chain.front() / plane);
+    const int le = static_cast<int>(chain.back() / plane);
     vias += (l0 + 1) + (le + 1);  // entry + exit escapes
   }
   int prev_x = -1, prev_y = -1, prev_l = -1;
   cells.clear();
   for (std::size_t n : chain) {
-    const int l = static_cast<int>(n / (static_cast<std::size_t>(g.nx) * g.ny));
-    const int rem = static_cast<int>(n % (static_cast<std::size_t>(g.nx) * g.ny));
+    const int l = static_cast<int>(n / plane);
+    const int rem = static_cast<int>(n % plane);
     const int y = rem / g.nx, x = rem % g.nx;
     if (prev_x >= 0) {
       if (l != prev_l) {
         ++vias;
       } else {
         lateral += std::hypot((x - prev_x) * dw, (y - prev_y) * dh);
-        ws.usage[n] += track_demand;
+        ws.add_usage(n, track_demand);
         cells.push_back(n);
       }
     } else {
-      ws.usage[n] += track_demand;
+      ws.add_usage(n, track_demand);
       cells.push_back(n);
     }
     path.append({g.x_of(x), g.y_of(y)}, l);
@@ -235,7 +280,7 @@ VisGraph build_visibility(const InterposerFloorplan& fp, double inflate) {
 
 /// Book an any-angle path's track demand onto the congestion grid by
 /// sampling each segment at half-cell steps; fills `cells` for rip-up.
-void book_any_angle(Workspace& ws, const std::vector<Point>& path, int layer, double demand,
+void book_any_angle(Workspace& ws, const std::vector<Point>& path, int layer, int demand,
                     std::vector<std::size_t>& cells) {
   const auto& g = ws.g;
   const double step = std::min(g.cell_w, g.cell_h) / 2.0;
@@ -252,7 +297,7 @@ void book_any_angle(Workspace& ws, const std::vector<Point>& path, int layer, do
   }
   std::sort(cells.begin(), cells.end());
   cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-  for (std::size_t c : cells) ws.usage[c] += demand;
+  for (std::size_t c : cells) ws.add_usage(c, demand);
 }
 
 /// Route one net any-angle on `layer`. Returns false when the visibility
@@ -280,25 +325,24 @@ bool route_any_angle(Workspace& ws, const VisGraph& vis, const TopNet& net, int 
     std::vector<double> dist(static_cast<std::size_t>(nc) + 2,
                              std::numeric_limits<double>::infinity());
     std::vector<int> prev(static_cast<std::size_t>(nc) + 2, -1);
-    using QEntry = std::pair<double, int>;
-    std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
+    NodeHeap heap;
+    heap.reset(static_cast<std::size_t>(nc) + 2);
     dist[static_cast<std::size_t>(src)] = 0;
-    pq.push({0, src});
+    heap.push(static_cast<std::size_t>(src), 0);
     auto point_of = [&](int n) {
       if (n == src) return net.a;
       if (n == dst) return net.b;
       return vis.corners[static_cast<std::size_t>(n)];
     };
-    while (!pq.empty()) {
-      const auto [d, n] = pq.top();
-      pq.pop();
-      if (d > dist[static_cast<std::size_t>(n)] + 1e-12) continue;
+    while (!heap.empty()) {
+      const auto [d, node32] = heap.pop();
+      const int n = static_cast<int>(node32);
       if (n == dst) break;
       auto relax = [&](int m, double w) {
         if (d + w < dist[static_cast<std::size_t>(m)] - 1e-12) {
           dist[static_cast<std::size_t>(m)] = d + w;
           prev[static_cast<std::size_t>(m)] = n;
-          pq.push({d + w, m});
+          heap.push(static_cast<std::size_t>(m), d + w);
         }
       };
       const Point pn = point_of(n);
@@ -330,7 +374,7 @@ bool route_any_angle(Workspace& ws, const VisGraph& vis, const TopNet& net, int 
     if (i > 0) lateral += std::hypot(pts[i].x - pts[i - 1].x, pts[i].y - pts[i - 1].y);
     path.append(pts[i], layer);
   }
-  book_any_angle(ws, pts, layer, static_cast<double>(net.bits), cells);
+  book_any_angle(ws, pts, layer, net.bits, cells);
   rn.path = std::move(path);
   rn.length_um = lateral;
   rn.vias = 2 * (layer + 1);  // escape down and back up at both terminals
@@ -341,10 +385,10 @@ bool route_any_angle(Workspace& ws, const VisGraph& vis, const TopNet& net, int 
 /// the least projected overflow; geometry stays put. Caller has already
 /// removed the net's usage.
 void rebalance_layer(Workspace& ws, RoutedNet& rn, std::vector<std::size_t>& cells,
-                     double demand) {
+                     int demand) {
   if (cells.empty()) return;
   const auto& g = ws.g;
-  const std::size_t plane = static_cast<std::size_t>(g.nx) * g.ny;
+  const std::size_t plane = g.plane();
   std::vector<std::size_t> foot(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) foot[i] = cells[i] % plane;
   int best_l = 0;
@@ -353,7 +397,7 @@ void rebalance_layer(Workspace& ws, RoutedNet& rn, std::vector<std::size_t>& cel
     double over = 0;
     for (std::size_t f : foot) {
       const std::size_t n = static_cast<std::size_t>(l) * plane + f;
-      over += std::max(0.0, ws.usage[n] + demand - ws.capacity[n]);
+      over += std::max(0.0, ws.usage[n] + demand - ws.capacity[f]);
     }
     if (over < best_over) {
       best_over = over;
@@ -362,7 +406,7 @@ void rebalance_layer(Workspace& ws, RoutedNet& rn, std::vector<std::size_t>& cel
   }
   for (std::size_t i = 0; i < cells.size(); ++i) {
     cells[i] = static_cast<std::size_t>(best_l) * plane + foot[i];
-    ws.usage[cells[i]] += demand;
+    ws.add_usage(cells[i], demand);
   }
   Polyline moved;
   for (const auto& pp : rn.path.points()) moved.append(pp.p, best_l);
@@ -374,6 +418,7 @@ void rebalance_layer(Workspace& ws, RoutedNet& rn, std::vector<std::size_t>& cel
 
 RouteResult route_interposer(const tech::Technology& tech, const InterposerFloorplan& fp,
                              const std::vector<TopNet>& nets, const RouterOptions& opts) {
+  GIA_SPAN("interposer/route");
   RouteResult out;
   const int avail_layers = std::max(1, tech.rules.metal_layers - 2);
   out.stats.signal_layers_available = avail_layers;
@@ -393,23 +438,23 @@ RouteResult route_interposer(const tech::Technology& tech, const InterposerFloor
   // Capacity per cell per layer (track count crossing the cell), derated
   // under dies where bump breakouts consume resources.
   const double pitch = tech.rules.min_wire_width_um + tech.rules.min_wire_space_um;
-  ws.capacity.resize(g.size());
-  ws.usage.assign(g.size(), 0.0);
-  for (int l = 0; l < g.layers; ++l) {
-    for (int y = 0; y < g.ny; ++y) {
-      for (int x = 0; x < g.nx; ++x) {
-        double cap = opts.usable_track_fraction * std::min(g.cell_w, g.cell_h) / pitch;
-        const Point center{g.x_of(x), g.y_of(y)};
-        for (const auto& die : fp.dies) {
-          if (!die.embedded && die.outline.contains(center)) {
-            cap *= opts.die_capacity_factor;
-            break;
-          }
+  ws.capacity.resize(g.plane());
+  for (int y = 0; y < g.ny; ++y) {
+    for (int x = 0; x < g.nx; ++x) {
+      double cap = opts.usable_track_fraction * std::min(g.cell_w, g.cell_h) / pitch;
+      const Point center{g.x_of(x), g.y_of(y)};
+      for (const auto& die : fp.dies) {
+        if (!die.embedded && die.outline.contains(center)) {
+          cap *= opts.die_capacity_factor;
+          break;
         }
-        ws.capacity[g.idx(x, y, l)] = std::max(cap, 0.5);
       }
+      ws.capacity[g.idx(x, y, 0)] = std::max(cap, 0.5);
     }
   }
+  ws.usage.assign(g.size(), 0);
+  ws.congestion.resize(g.size());
+  for (std::size_t n = 0; n < g.size(); ++n) ws.congestion[n] = ws.multiplier(n);
 
   // Moves: Manhattan layers alternate preferred direction (even layers
   // horizontal); diagonal style allows 8-way on all layers.
@@ -435,10 +480,17 @@ RouteResult route_interposer(const tech::Technology& tech, const InterposerFloor
     }
     mv.push_back({0, 0, +1, opts.via_cost_um});
     mv.push_back({0, 0, -1, opts.via_cost_um});
+    for (auto& m : mv) {
+      m.offset = m.dx + static_cast<std::ptrdiff_t>(m.dy) * g.nx +
+                 static_cast<std::ptrdiff_t>(m.dl) * static_cast<std::ptrdiff_t>(g.plane());
+    }
     ws.layer_moves.push_back(std::move(mv));
   }
-  ws.dist.resize(g.size());
-  ws.prev.resize(g.size());
+  ws.dist.assign(g.size(), std::numeric_limits<double>::infinity());
+  ws.prev.assign(g.size(), -1);
+  ws.heap.reset(g.size());
+  ws.h_x.resize(static_cast<std::size_t>(g.nx));
+  ws.h_y.resize(static_cast<std::size_t>(g.ny));
 
   // Route order: short nets first (they have the least flexibility).
   std::vector<int> order(nets.size());
@@ -487,27 +539,30 @@ RouteResult route_interposer(const tech::Technology& tech, const InterposerFloor
 
   // Rip-up & reroute: nets crossing overflowed cells are torn out (worst
   // offenders first) and rerouted against the updated congestion map.
-  for (int pass = 0; pass < opts.reroute_passes; ++pass) {
-    std::vector<std::pair<double, int>> offenders;
-    for (std::size_t ni = 0; ni < nets.size(); ++ni) {
-      if (routed[ni].vertical) continue;
-      double over = 0;
-      for (std::size_t c : used_cells[ni]) {
-        over += std::max(0.0, ws.usage[c] - ws.capacity[c]);
+  {
+    GIA_SPAN("interposer/reroute");
+    for (int pass = 0; pass < opts.reroute_passes; ++pass) {
+      std::vector<std::pair<double, int>> offenders;
+      for (std::size_t ni = 0; ni < nets.size(); ++ni) {
+        if (routed[ni].vertical) continue;
+        double over = 0;
+        for (std::size_t c : used_cells[ni]) {
+          over += std::max(0.0, ws.usage[c] - ws.capacity_of(c));
+        }
+        if (over > 0) offenders.push_back({over, static_cast<int>(ni)});
       }
-      if (over > 0) offenders.push_back({over, static_cast<int>(ni)});
-    }
-    if (offenders.empty()) break;
-    std::sort(offenders.begin(), offenders.end(), std::greater<>());
-    for (const auto& [over, ni] : offenders) {
-      const double demand = static_cast<double>(nets[static_cast<std::size_t>(ni)].bits);
-      for (std::size_t c : used_cells[static_cast<std::size_t>(ni)]) ws.usage[c] -= demand;
-      if (any_routed[static_cast<std::size_t>(ni)]) {
-        rebalance_layer(ws, routed[static_cast<std::size_t>(ni)],
-                        used_cells[static_cast<std::size_t>(ni)], demand);
-      } else {
-        route_one(ws, nets[static_cast<std::size_t>(ni)], routed[static_cast<std::size_t>(ni)],
-                  used_cells[static_cast<std::size_t>(ni)]);
+      if (offenders.empty()) break;
+      std::sort(offenders.begin(), offenders.end(), std::greater<>());
+      for (const auto& [over, ni] : offenders) {
+        const int demand = nets[static_cast<std::size_t>(ni)].bits;
+        for (std::size_t c : used_cells[static_cast<std::size_t>(ni)]) ws.add_usage(c, -demand);
+        if (any_routed[static_cast<std::size_t>(ni)]) {
+          rebalance_layer(ws, routed[static_cast<std::size_t>(ni)],
+                          used_cells[static_cast<std::size_t>(ni)], demand);
+        } else {
+          route_one(ws, nets[static_cast<std::size_t>(ni)], routed[static_cast<std::size_t>(ni)],
+                    used_cells[static_cast<std::size_t>(ni)]);
+        }
       }
     }
   }
@@ -533,7 +588,7 @@ RouteResult route_interposer(const tech::Technology& tech, const InterposerFloor
   for (const auto& rn : routed) st.total_vias += rn.vias;
   st.signal_layers_used = wls.empty() ? 0 : max_layer_used + 1;
   for (std::size_t i = 0; i < ws.usage.size(); ++i) {
-    if (ws.usage[i] > ws.capacity[i]) ++st.overflowed_cells;
+    if (ws.usage[i] > ws.capacity_of(i)) ++st.overflowed_cells;
   }
   out.nets = std::move(routed);  // already in input order
   return out;
