@@ -2,7 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
+#include <cstring>
 #include <vector>
 
 /// \file node_heap.hpp
@@ -13,6 +13,13 @@
 /// `std::priority_queue<std::pair<double, std::size_t>, ..., std::greater<>>`
 /// pops the same live (key, node) pairs in -- which is what keeps the
 /// router's results byte-identical to a lazy-deletion binary heap.
+///
+/// Each entry is one 128-bit integer: an order-preserving image of the key
+/// above the 32-bit node. Comparing two entries is then one integer compare
+/// with no branch on ties, about twice as fast as comparing (double, node)
+/// pairs. The image keeps the order of every non-NaN key and maps -0.0 and
+/// +0.0 to one value, as `<` and `==` treat them; `pop` returns the key
+/// exactly, except that a -0.0 comes back as +0.0.
 
 namespace gia::interposer {
 
@@ -31,101 +38,105 @@ class NodeHeap {
 
   bool empty() const { return heap_.empty(); }
 
-  /// Queue `node` under `key`, or move it to `key` if already queued. A node
-  /// popped earlier may be queued again.
+  /// Queue `node` under `key` (not NaN), or move it to `key` if already
+  /// queued. A node popped earlier may be queued again.
   void push(std::size_t node, double key) {
-    const Entry e{key, static_cast<std::uint32_t>(node)};
-    std::uint32_t i = pos_[node];
+    const Packed e = pack(key, static_cast<std::uint32_t>(node));
+    const std::uint32_t i = pos_[node];
     if (i == kAbsent) {
-      i = static_cast<std::uint32_t>(heap_.size());
       heap_.push_back(e);
-      sift_up(i);
-    } else if (less(e, heap_[i])) {
-      heap_[i] = e;
-      sift_up(i);
+      sift_up(static_cast<std::uint32_t>(heap_.size() - 1), e);
+    } else if (e < heap_[i]) {
+      sift_up(i, e);
     } else {
-      heap_[i] = e;
-      sift_down(i);
+      sift_down(i, e);
     }
   }
 
   /// Remove and return the smallest (key, node) entry. Precondition: !empty().
   Entry pop() {
-    const Entry top = heap_.front();
-    pos_[top.node] = kAbsent;
-    const Entry last = heap_.back();
+    const Packed top = heap_.front();
+    pos_[node_of(top)] = kAbsent;
+    const Packed last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) {
       // Walk the hole at the root down the smaller-child path to a leaf,
       // then settle `last` there (it usually belongs near the bottom).
       const auto n = static_cast<std::uint32_t>(heap_.size());
       std::uint32_t i = 0;
-      for (;;) {
-        const std::uint32_t first = i * kArity + 1;
-        if (first >= n) break;
-        std::uint32_t best = first;
-        const std::uint32_t end = first + kArity < n ? first + kArity : n;
-        for (std::uint32_t c = first + 1; c < end; ++c) {
-          best = less(heap_[c], heap_[best]) ? c : best;
-        }
-        place(i, heap_[best]);
-        i = best;
-      }
-      heap_[i] = last;
-      sift_up(i);
+      for (std::uint32_t c; (c = min_child(i, n)) != kAbsent; i = c) place(i, heap_[c]);
+      sift_up(i, last);
     }
-    return top;
+    return {key_of(top), node_of(top)};
   }
 
   /// Drop every queued entry, touching only the queued nodes' positions.
   void clear() {
-    for (const Entry& e : heap_) pos_[e.node] = kAbsent;
+    for (const Packed e : heap_) pos_[node_of(e)] = kAbsent;
     heap_.clear();
   }
 
  private:
+  __extension__ typedef unsigned __int128 Packed;
   static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
   static constexpr std::uint32_t kArity = 4;
+  static constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
 
-  static bool less(const Entry& a, const Entry& b) {
-    return (a.key < b.key) | ((a.key == b.key) & (a.node < b.node));
+  /// Key image above the node. The image is the key's bits with the sign
+  /// bit set for a key >= 0 and every bit flipped for a key < 0, which
+  /// orders like the keys; adding +0.0 first turns -0.0 into +0.0.
+  static Packed pack(double key, std::uint32_t node) {
+    const double k = key + 0.0;
+    std::uint64_t bits;
+    std::memcpy(&bits, &k, sizeof bits);
+    bits = (bits & kSign) ? ~bits : (bits | kSign);
+    return (static_cast<Packed>(bits) << 32) | node;
+  }
+  static std::uint32_t node_of(Packed e) { return static_cast<std::uint32_t>(e); }
+  static double key_of(Packed e) {
+    auto bits = static_cast<std::uint64_t>(e >> 32);
+    bits = (bits & kSign) ? (bits & ~kSign) : ~bits;
+    double key;
+    std::memcpy(&key, &bits, sizeof key);
+    return key;
   }
 
-  void place(std::uint32_t i, const Entry& e) {
+  void place(std::uint32_t i, Packed e) {
     heap_[i] = e;
-    pos_[e.node] = i;
+    pos_[node_of(e)] = i;
   }
 
-  void sift_up(std::uint32_t i) {
-    const Entry e = heap_[i];
+  /// Index of the smallest child of `i` in a heap of `n`, or kAbsent.
+  std::uint32_t min_child(std::uint32_t i, std::uint32_t n) const {
+    const std::uint32_t first = i * kArity + 1;
+    if (first >= n) return kAbsent;
+    std::uint32_t best = first;
+    const std::uint32_t end = first + kArity < n ? first + kArity : n;
+    for (std::uint32_t c = first + 1; c < end; ++c) best = heap_[c] < heap_[best] ? c : best;
+    return best;
+  }
+
+  /// Settle `e` at or above slot `i`.
+  void sift_up(std::uint32_t i, Packed e) {
     while (i > 0) {
       const std::uint32_t parent = (i - 1) / kArity;
-      if (!less(e, heap_[parent])) break;
+      if (!(e < heap_[parent])) break;
       place(i, heap_[parent]);
       i = parent;
     }
     place(i, e);
   }
 
-  void sift_down(std::uint32_t i) {
-    const Entry e = heap_[i];
+  /// Settle `e` at or below slot `i`.
+  void sift_down(std::uint32_t i, Packed e) {
     const auto n = static_cast<std::uint32_t>(heap_.size());
-    for (;;) {
-      const std::uint32_t first = i * kArity + 1;
-      if (first >= n) break;
-      std::uint32_t best = first;
-      const std::uint32_t end = first + kArity < n ? first + kArity : n;
-      for (std::uint32_t c = first + 1; c < end; ++c) {
-        best = less(heap_[c], heap_[best]) ? c : best;
-      }
-      if (!less(heap_[best], e)) break;
-      place(i, heap_[best]);
-      i = best;
+    for (std::uint32_t c; (c = min_child(i, n)) != kAbsent && heap_[c] < e; i = c) {
+      place(i, heap_[c]);
     }
     place(i, e);
   }
 
-  std::vector<Entry> heap_;
+  std::vector<Packed> heap_;
   std::vector<std::uint32_t> pos_;  ///< node -> index in heap_, kAbsent if not queued
 };
 

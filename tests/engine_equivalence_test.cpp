@@ -13,6 +13,7 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <queue>
 #include <random>
@@ -101,6 +102,31 @@ TEST(NodeHeap, PopOrderMatchesPriorityQueue) {
   EXPECT_GT(repushed_after_pop, 100);
   EXPECT_GT(tiny_improvements, 100);
   EXPECT_GT(ties, 100);
+}
+
+/// The heap compares integer images of the keys; they must order like the
+/// doubles across signs, zeros, subnormals and infinities, with -0.0 and
+/// +0.0 tying (broken by node, as the priority queue breaks them).
+TEST(NodeHeap, KeyImageOrdersLikeDoubles) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double keys[] = {0.0,    -0.0,   -1.5,   1.5,     1e300, -1e300, 5e-324,
+                         -5e-324, inf,   -inf,   -0.0,    0.0,   2.0,    -2.0};
+  constexpr std::size_t kNodes = std::size(keys);
+  NodeHeap heap;
+  heap.reset(kNodes);
+  LazyQueue ref;
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    heap.push(n, keys[n]);
+    ref.push({keys[n], n});
+  }
+  while (!ref.empty()) {
+    ASSERT_FALSE(heap.empty());
+    const auto got = heap.pop();
+    EXPECT_EQ(got.key, ref.top().first);
+    EXPECT_EQ(got.node, ref.top().second);
+    ref.pop();
+  }
+  EXPECT_TRUE(heap.empty());
 }
 
 /// One A* search over a random-cost 4-neighbour grid in both forms: the lazy
