@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <random>
 #include <stdexcept>
 
@@ -15,8 +16,8 @@ using geometry::Rect;
 
 /// One optimized net: its movable terminals are `movable[begin, end)` of the
 /// placer's flat terminal list, and its fixed terminals are folded into one
-/// bounding box up front (min/max do not depend on the order they see the
-/// points in, so the box equals the one over all points).
+/// bounding box up front. The box grows from the fixed points first, in
+/// terminal order, then the movable ones, as a box over one point list did.
 struct NetInfo {
   int id = 0;
   int bits = 1;
@@ -24,19 +25,6 @@ struct NetInfo {
   bool pinned = false;
   double lx = 0, ly = 0, ux = 0, uy = 0;  ///< fixed-terminal box when `pinned`
 };
-
-/// Merge two ascending net-index lists into `out` without duplicates --
-/// the same list std::sort + std::unique of their concatenation gives.
-void merge_unique(const int* a, const int* a_end, const int* b, const int* b_end,
-                  std::vector<int>& out) {
-  out.clear();
-  auto emit = [&](int v) {
-    if (out.empty() || out.back() != v) out.push_back(v);
-  };
-  while (a != a_end && b != b_end) emit(*b < *a ? *b++ : *a++);
-  while (a != a_end) emit(*a++);
-  while (b != b_end) emit(*b++);
-}
 
 }  // namespace
 
@@ -110,10 +98,7 @@ PlacementResult place_clusters(const netlist::Netlist& nl, const std::vector<int
       }
     }
     info.end = static_cast<int>(movable.size());
-    if (info.end == info.begin) {
-      movable.resize(static_cast<std::size_t>(info.begin));
-      continue;
-    }
+    if (info.end == info.begin) continue;  // no movable terminal: nothing to optimize
     nets.push_back(info);
   }
 
@@ -186,8 +171,11 @@ PlacementResult place_clusters(const netlist::Netlist& nl, const std::vector<int
     if (do_swap) {
       do { b = pick(rng); } while (b == a);
       old_b = pos[static_cast<std::size_t>(b)];
-      merge_unique(aff, aff_end, nets_of.data() + nets_of_begin[static_cast<std::size_t>(b)],
-                   nets_of.data() + nets_of_begin[static_cast<std::size_t>(b) + 1], merged);
+      merged.clear();
+      std::merge(aff, aff_end, nets_of.data() + nets_of_begin[static_cast<std::size_t>(b)],
+                 nets_of.data() + nets_of_begin[static_cast<std::size_t>(b) + 1],
+                 std::back_inserter(merged));
+      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
       aff = merged.data();
       aff_end = merged.data() + merged.size();
     }
